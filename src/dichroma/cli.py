@@ -33,6 +33,7 @@ from .errors import (
     FileSemanticError,
     FileSyntaxError,
     LoopArc,
+    SelfCheckFailed,
     UsageError,
 )
 from .families import shannon_multigraph
@@ -144,6 +145,20 @@ def _load_graph(path: str):
     raise FileSyntaxError(f"unknown header {kind!r}", 1)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated command-line value."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
+def _self_check(ok: bool, claim: str) -> None:
+    """Re-check a result before it is emitted; unlike assert, survives -O."""
+    if not ok:
+        raise SelfCheckFailed(f"re-check failed: {claim}")
+
+
 def _need_digraph(g, path):
     if not isinstance(g, Digraph):
         raise UsageError(f"{path} is not a digraph file")
@@ -250,7 +265,7 @@ def _dispatch(ns) -> tuple[dict, int]:
             res = col_mod.exact_dichromatic(d, budget=ns.budget)
         except col_mod.BudgetExceeded as exc:
             return {"digest": _digest(text), "bounds": [exc.lower, exc.upper]}, 0
-        assert col_mod.verify_dicolouring(d, res.colouring).valid
+        _self_check(col_mod.verify_dicolouring(d, res.colouring).valid, "dicolouring")
         return (
             {
                 "digest": _digest(text),
@@ -261,7 +276,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         )
     if cmd == "verify":
         g, text = _load_graph(ns.file)
-        cols = [int(x) for x in ns.colours.split(",") if x != ""]
+        cols = _int_list(ns.colours, "--colours")
         if isinstance(g, Multigraph):
             if ns.d is None:
                 raise UsageError("--d is required for multigraph files")
@@ -276,9 +291,7 @@ def _dispatch(ns) -> tuple[dict, int]:
                     "count": res.count,
                 }
             return rep, 0
-        res = col_mod.verify_dicolouring(
-            g, col_mod.Dicolouring(tuple(cols), max(cols, default=0))
-        )
+        res = col_mod.verify_dicolouring(g, col_mod.dicolouring(cols))
         rep = {"digest": _digest(text), "valid": res.valid}
         if not res.valid:
             rep["witness"] = {
@@ -291,7 +304,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         d = _need_digraph(g, ns.file)
         verdict = brooks_mod.classify_brooks(d)
         colouring = brooks_mod.brooks_colour(d)
-        assert col_mod.verify_dicolouring(d, colouring).valid
+        _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
         return (
             {
                 "digest": _digest(text),
@@ -319,7 +332,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         if pair is not None:
             x, rest = prof.cuts[pair]
             crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
-            assert crossing == prof.values[pair]
+            _self_check(crossing == prof.values[pair], "dicut size equals lambda")
             rep["argmax"] = list(pair)
             rep["dicut_side"] = sorted(x)
         return rep, 0
@@ -329,7 +342,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         res = ext_mod.recognize_k_extremal(d, ns.k, budget=ns.budget)
         rep: dict = {"digest": _digest(text), "extremal": res.extremal, "k": ns.k}
         if res.certificate is not None:
-            assert res.certificate.replay_arcs() == d.arcs
+            _self_check(res.certificate.replay_arcs() == d.arcs, "certificate replays the input")
             rep["certificate"] = ext_mod.certificate_to_dict(res.certificate)
         if res.reason:
             rep["reason"] = res.reason
@@ -349,7 +362,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         emb = hero_mod.contains_induced(d, pat, budget=ns.budget)
         rep = {"digest": _digest(text), "free": emb is None}
         if emb is not None:
-            assert emb.verify(d, pat)
+            _self_check(emb.verify(d, pat), "induced embedding")
             rep["embedding"] = list(emb.mapping)
         return rep, 0 if emb is None else 1
     if cmd == "round":
@@ -368,7 +381,7 @@ def _dispatch(ns) -> tuple[dict, int]:
             },
         }
         if res.ok:
-            assert loc_mod.satisfies_in_round(d, res.order.order)
+            _self_check(loc_mod.satisfies_in_round(d, res.order.order), "in-round order")
             rep["order"] = list(res.order.order)
         else:
             rep["refutation"] = {
@@ -392,10 +405,10 @@ def _dispatch(ns) -> tuple[dict, int]:
     if cmd == "dicolour2":
         g, text = _load_graph(ns.file)
         d = _need_digraph(g, ns.file)
-        tt = [int(x) for x in ns.tt.split(",") if x != ""]
+        tt = _int_list(ns.tt, "--tt")
         colouring = loc_mod.two_dicolour_lot(d, tt)
-        assert col_mod.verify_dicolouring(d, colouring).valid
-        assert len({colouring.colours[v] for v in tt}) <= 1
+        _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
+        _self_check(len({colouring.colours[v] for v in tt}) <= 1, "--tt is monochromatic")
         return (
             {
                 "digest": _digest(text),
@@ -436,7 +449,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         else:
             colouring = def_mod.defective_colour(mg, ns.d, simple_hint=ns.simple)
             value = colouring.k
-        assert def_mod.verify_edge_colouring(mg, colouring, ns.d).valid
+        _self_check(def_mod.verify_edge_colouring(mg, colouring, ns.d).valid, "edge colouring")
         return (
             {
                 "digest": _digest(text),

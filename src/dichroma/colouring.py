@@ -41,9 +41,14 @@ class Dicolouring:
 def dicolouring(colours: Sequence[int], k: int | None = None) -> Dicolouring:
     cols = tuple(colours)
     kk = max(cols, default=0) if k is None else k
-    if any(c < 1 or c > kk for c in cols):
-        raise InvalidInput(f"colours must lie in 1..{kk}")
+    _check_range(cols, kk)
     return Dicolouring(cols, kk)
+
+
+def _check_range(cols: Sequence[int], k: int) -> None:
+    bad = next((c for c in cols if c < 1 or c > k), None)
+    if bad is not None:
+        raise InvalidInput(f"colour {bad} outside 1..{k}")
 
 
 def _acyclic_mask(out_masks: Sequence[int], s: int) -> bool:
@@ -99,9 +104,13 @@ class VerifyResult:
 
 
 def verify_dicolouring(d: Digraph, c: Dicolouring) -> VerifyResult:
-    """Valid iff each colour class is acyclic; else a monochromatic dicycle."""
+    """Valid iff each colour class is acyclic; else a monochromatic dicycle.
+
+    Raises InvalidInput when a colour lies outside 1..k.
+    """
     if len(c.colours) != d.n:
         raise PartialColouring(f"{len(c.colours)} colours for {d.n} vertices")
+    _check_range(c.colours, c.k)
     for col in range(1, c.k + 1):
         cls = [v for v in range(d.n) if c.colours[v] == col]
         cyc = find_cycle_in(d, cls)
@@ -428,19 +437,33 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
     Solves each strong component separately (the dichromatic number is the
     maximum over strong components, and classes can be shared across
     them).  Per component: iterative deepening on k with a deterministic
-    branch-and-bound over vertices in reverse degeneracy order, symmetry
-    breaking on first use of each colour, and incremental acyclicity
-    checks on classes.  `budget` caps total search nodes; exhausting it
-    raises BudgetExceeded carrying the best known bounds.
+    branch-and-bound over vertices in reverse degeneracy order and symmetry
+    breaking on first use of each colour.  Each class keeps its internal
+    reachability bitsets and each uncoloured vertex its set of colours
+    still open, so an insertion updates both with a few word operations
+    per vertex instead of re-checking whole classes for acyclicity.  On
+    more than ten vertices a branch is cut as soon as a later vertex has
+    no open colour left.
+
+    `budget` caps total search nodes.  Exhausting it raises BudgetExceeded
+    with bounds that hold for the whole input: the lower bound is the
+    largest of every solved component's value, every component's cheap
+    lower bound and the k under test (every smaller k was refuted); the
+    upper bound is the largest greedy bound over the components.
     """
     if d.n == 0:
         return ExactResult(0, Dicolouring((), 0))
+    comps = [d.induced(sorted(comp)) for comp in strong_components(d).parts]
+    bounds = [_cheap_bounds(sub) for sub, _ in comps]
     colour = [1] * d.n
     best = 1
     state = _Budget(budget)
-    for comp in strong_components(d).parts:
-        sub, labels = d.induced(sorted(comp))
-        val, cols = _exact_component(sub, state)
+    for (sub, labels), (lb, greedy) in zip(comps, bounds):
+        try:
+            val, cols = _exact_component(sub, lb, greedy, state)
+        except BudgetExceeded as exc:
+            lower = max([best, exc.lower] + [b[0] for b in bounds])
+            raise BudgetExceeded(lower, max(b[1].k for b in bounds)) from None
         best = max(best, val)
         for i, v in enumerate(labels):
             colour[v] = cols[i]
@@ -452,10 +475,12 @@ class _Budget:
         self.limit = limit
         self.nodes = 0
 
-    def tick(self, lower: int, upper: int | None):
+    def tick(self, k: int):
+        """Count one search node; k is the value under test, so k is a lower
+        bound of the component when the budget runs out."""
         self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExceeded(lower, upper)
+            raise BudgetExceeded(k, None)
 
 
 def _degeneracy_order(d: Digraph) -> list[int]:
@@ -491,66 +516,104 @@ def _digon_clique_bound(d: Digraph) -> list[int]:
     return best
 
 
-def _exact_component(d: Digraph, state: _Budget) -> tuple[int, list[int]]:
-    n = d.n
-    if n == 1:
-        return 1, [1]
-    greedy = greedy_dicolour(d, list(range(n)))
-    ub = greedy.k
+def _cheap_bounds(d: Digraph) -> tuple[int, Dicolouring]:
+    """Lower bound (digon clique, acyclicity) and greedy colouring of a
+    strong component."""
+    greedy = greedy_dicolour(d, list(range(d.n)))
     lb = max(1, len(_digon_clique_bound(d)))
-    if not _acyclic_mask(d.out_masks, (1 << n) - 1):
+    if not _acyclic_mask(d.out_masks, (1 << d.n) - 1):
         lb = max(lb, 2)
+    return lb, greedy
+
+
+def _exact_component(
+    d: Digraph, lb: int, greedy: Dicolouring, state: _Budget
+) -> tuple[int, list[int]]:
+    ub = greedy.k
     if lb >= ub:
         return ub, list(greedy.colours)
     order = list(reversed(_degeneracy_order(d)))
     for k in range(lb, ub):
-        cols = _feasible_k(d, order, k, state, lb, ub)
+        cols = _feasible_k(d, order, k, state)
         if cols is not None:
             return k, cols
     return ub, list(greedy.colours)
 
 
 def _feasible_k(
-    d: Digraph,
-    order: list[int],
-    k: int,
-    state: _Budget,
-    lb: int,
-    ub: int,
+    d: Digraph, order: list[int], k: int, state: _Budget
 ) -> list[int] | None:
     """Depth-first search for a k-dicolouring along a fixed vertex order."""
     n = d.n
     out_masks = d.out_masks
+    in_masks = d.in_masks
     colour = [0] * n
-    class_mask = [0] * (k + 1)
+    # Invariants at every node of the search, for each colour c:
+    # - members[c] lists the vertices of class c, and reach[c][x] is the
+    #   bitset of class-c vertices reachable from x inside class c (x
+    #   included; 0 for x outside the class).  An insertion replaces the
+    #   row reach[c] by an updated copy, so backtracking puts the old back;
+    # - bit c of dom[w] is set iff the class c plus an uncoloured vertex w
+    #   is acyclic.  Inserting v into c changes class c only, so it can
+    #   clear bit c of dom and nothing else.
+    members: list[list[int]] = [[] for _ in range(k + 1)]
+    reach = [[0] * n for _ in range(k + 1)]
+    dom = [(1 << (k + 1)) - 2] * n
     forward_check = n > 10
 
-    def feasible(v: int, c: int) -> bool:
-        return _acyclic_mask(out_masks, class_mask[c] | (1 << v))
-
     def dfs(i: int, used: int) -> bool:
-        if i == len(order):
+        if i == n:
             return True
-        state.tick(lb, ub)
+        state.tick(k)
         v = order[i]
         top = min(used + 1, k)
+        inv = in_masks[v]
+        outv = out_masks[v]
         for c in range(1, top + 1):
-            if not feasible(v, c):
+            bit = 1 << c
+            if not dom[v] & bit:
                 continue
-            class_mask[c] |= 1 << v
-            colour[v] = c
+            # Class c plus v is acyclic.  reach_v: what v reaches in the
+            # new class; above: the members that reach v (v included).
+            row = reach[c]
+            reach_v = above = 1 << v
+            gainers = []
+            for x in members[c]:
+                rx = row[x]
+                if outv >> x & 1:
+                    reach_v |= rx
+                if rx & inv:
+                    above |= 1 << x
+                    gainers.append(x)
+            # A later w loses colour c iff it closes a dicycle through v:
+            # an arc from w into `above` and one from `reach_v` into w.
+            # Only such a w can run out of colours in 1..t2: t2 never
+            # shrinks down a branch, and every other w passed one level up.
+            t2 = (1 << (min(max(used, c) + 1, k) + 1)) - 2
+            cleared = []
             ok = True
-            if forward_check:
-                for j in range(i + 1, len(order)):
-                    w = order[j]
-                    t2 = min(max(used, c) + 1, k)
-                    if not any(feasible(w, c2) for c2 in range(1, t2 + 1)):
+            for w in order[i + 1:]:
+                if dom[w] & bit and in_masks[w] & reach_v and out_masks[w] & above:
+                    dom[w] ^= bit
+                    cleared.append(w)
+                    if forward_check and not dom[w] & t2:
                         ok = False
                         break
-            if ok and dfs(i + 1, max(used, c)):
-                return True
-            class_mask[c] &= ~(1 << v)
-            colour[v] = 0
+            if ok:
+                new_row = row[:]
+                new_row[v] = reach_v
+                for x in gainers:
+                    new_row[x] |= reach_v
+                reach[c] = new_row
+                members[c].append(v)
+                colour[v] = c
+                if dfs(i + 1, max(used, c)):
+                    return True
+                colour[v] = 0
+                members[c].pop()
+                reach[c] = row
+            for w in cleared:
+                dom[w] |= bit
         return False
 
     if dfs(0, 0):

@@ -143,3 +143,7 @@ class FileSemanticError(DichromaError):
 
 class UsageError(DichromaError):
     """Bad command-line usage."""
+
+
+class SelfCheckFailed(DichromaError):
+    """A result failed the independent re-check made before reporting it."""

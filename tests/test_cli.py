@@ -172,3 +172,25 @@ def test_chi_budget_bounds(files, tmp_path):
     assert code == 0 and "bounds" in rep
     rep2, code2 = run_command(["chi", str(hard)])
     assert code2 == 0 and rep2["chi"] == 3
+
+
+def test_verify_rejects_out_of_range_colours(files, capsys):
+    code = main(["verify", files["c3"], "--colours", "0,0,0"])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and err["error"]["type"] == "InvalidInput"
+
+
+def test_verify_malformed_colours_is_usage_error(files, capsys):
+    code = main(["verify", files["c3"], "--colours", "1,x,1"])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and err["error"]["type"] == "UsageError"
+
+
+def test_failed_self_check_is_json_error(files, capsys, monkeypatch):
+    from dichroma import colouring
+
+    monkeypatch.setattr(colouring, "verify_dicolouring",
+                        lambda d, c: colouring.VerifyResult(False))
+    code = main(["chi", files["c3"]])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and err["error"]["type"] == "SelfCheckFailed"

@@ -229,3 +229,11 @@ def test_two_colour_exhaustive_reps():
         d = mask_to_digraph(4, mask)
         res = two_colour_odd_free(d)
         assert res.ok == (not _has_odd_dicycle(d)), d
+
+
+def test_verify_rejects_out_of_range_colours():
+    from dichroma.errors import InvalidInput
+
+    for cols, k in (((0, 0, 0), 1), ((1, 2, 3), 2)):
+        with pytest.raises(InvalidInput):
+            verify_dicolouring(dicycle(3), Dicolouring(cols, k))

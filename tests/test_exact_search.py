@@ -1,0 +1,126 @@
+"""The exact dichromatic search on inputs large enough for its forward check
+(a strong component of more than ten vertices), against an oracle that
+shares no code with it, and pinned to the search tree it explores."""
+
+import random
+
+import pytest
+
+from dichroma.colouring import exact_dichromatic, verify_dicolouring
+from dichroma.core import build_digraph
+from dichroma.errors import BudgetExceeded
+from dichroma.families import sym_complete
+from dichroma.heroes import gen_fk
+
+
+def _strong_tournament(rng, n):
+    while True:
+        d = build_digraph(n, [(i, j) if rng.random() < 0.5 else (j, i)
+                              for i in range(n) for j in range(i + 1, n)])
+        if d.is_strong:
+            return d
+
+
+def _strong_digon_digraph(rng, n, p=0.55, q=0.12):
+    """Each pair is a digon with probability q, else one arc with
+    probability p - q, else no arc."""
+    while True:
+        arcs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = rng.random()
+                if r < q:
+                    arcs += [(i, j), (j, i)]
+                elif r < p:
+                    arcs.append((i, j) if rng.random() < 0.5 else (j, i))
+        d = build_digraph(n, arcs)
+        if d.is_strong:
+            return d
+
+
+def _subset_dp_chi(d):
+    """Least k such that k acyclic sets cover V, by inclusion-exclusion:
+    with a(X) the number of acyclic subsets of X, the count of k-tuples of
+    acyclic sets covering V is sum over X of (-1)^(n-|X|) a(X)^k."""
+    n = d.n
+    out = [sum(1 << w for w in d.out_sets[v]) for v in range(n)]
+    full = (1 << n) - 1
+    acyclic = [False] * (1 << n)
+    acyclic[0] = True
+    for x in range(1, 1 << n):
+        # acyclic iff it has a sink whose removal leaves an acyclic set
+        m = x
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if out[v] & x == 0:
+                acyclic[x] = acyclic[x & ~(1 << v)]
+                break
+    count = [1 if a else 0 for a in acyclic]
+    for v in range(n):  # zeta transform: count[X] = #acyclic subsets of X
+        bit = 1 << v
+        for x in range(1 << n):
+            if x & bit:
+                count[x] += count[x ^ bit]
+    k = 1
+    while True:
+        total = sum((-1) ** (n - bin(x).count("1")) * count[x] ** k for x in range(full + 1))
+        if total > 0:
+            return k
+        k += 1
+
+
+def _forward_check_inputs():
+    cases = [_strong_tournament(random.Random(seed), 11 + seed) for seed in range(4)]
+    cases += [_strong_digon_digraph(random.Random(seed), n)
+              for seed, n in ((200, 11), (202, 13), (203, 14))]
+    return cases + [gen_fk(3, 4).digraph]
+
+
+def test_forward_check_path_matches_subset_dp():
+    for d in _forward_check_inputs():
+        assert d.n > 10 and d.is_strong
+        with pytest.raises(BudgetExceeded):  # the search itself runs
+            exact_dichromatic(d, budget=0)
+        res = exact_dichromatic(d)
+        assert res.value == _subset_dp_chi(d)
+        assert res.colouring.k == res.value and verify_dicolouring(d, res.colouring).valid
+
+
+# Colourings and exact node counts of the search before its classes and
+# domains became incremental; the search tree must not change.
+PINNED = [
+    (lambda: _strong_tournament(random.Random(301), 17), 142,
+     [3, 2, 2, 1, 2, 2, 2, 3, 1, 3, 3, 1, 3, 1, 2, 1, 1]),
+    (lambda: _strong_tournament(random.Random(302), 18), 465,
+     [3, 2, 2, 2, 3, 1, 1, 3, 2, 2, 3, 1, 3, 1, 3, 2, 1, 1]),
+    (lambda: _strong_digon_digraph(random.Random(202), 13), 25,
+     [3, 3, 2, 2, 1, 1, 3, 2, 1, 2, 2, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("make,nodes,colours", PINNED)
+def test_search_tree_is_pinned(make, nodes, colours):
+    d = make()
+    with pytest.raises(BudgetExceeded):
+        exact_dichromatic(d, budget=nodes - 1)
+    res = exact_dichromatic(d, budget=nodes)
+    assert list(res.colouring.colours) == colours
+
+
+def test_budget_bounds_cover_every_component():
+    # a symmetric K5 (solved by its bounds alone) beside a 14-vertex
+    # tournament whose search runs out of budget at once
+    rng = random.Random(0)
+    tour = _strong_tournament(rng, 14)
+    k5 = sym_complete(5)
+    arcs = list(k5.arcs) + [(u + 5, v + 5) for u, v in tour.arcs]
+    d = build_digraph(19, arcs)
+    assert exact_dichromatic(d).value == 5
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_dichromatic(d, budget=0)
+    assert exc.value.lower == 5 and exc.value.upper >= 5
+    # the tournament alone: every k below the one under test was refuted
+    with pytest.raises(BudgetExceeded) as exc2:
+        exact_dichromatic(tour, budget=0)
+    assert 2 <= exc2.value.lower <= exact_dichromatic(tour).value <= exc2.value.upper
