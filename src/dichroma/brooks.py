@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colouring import Dicolouring, exact_dichromatic, greedy_dicolour, verify_dicolouring
-from .core import Digraph, bfs_order, blocks, build_digraph, weak_components
+from .core import (
+    Digraph,
+    bfs_order,
+    bits,
+    blocks,
+    build_digraph,
+    components,
+    weak_components,
+)
 from .errors import BadK
 
 EXC_DIRECTED_CYCLE = "DirectedCycle"
@@ -180,10 +188,6 @@ def _merge_blocks(d: Digraph, k: int) -> list[int]:
         for v in b:
             vertex_blocks.setdefault(v, []).append(i)
     colour = [0] * d.n
-    done_blocks: set[int] = set()
-    root = 0
-    queue = [vertex_blocks[min(blk[root])][0]] if blk else []
-    queue = [0]
     # BFS over the block tree
     pending = [(0, None)]  # (block index, anchored cutvertex or None)
     seen_blocks = {0}
@@ -198,7 +202,6 @@ def _merge_blocks(d: Digraph, k: int) -> list[int]:
                 cols = [want if c == have else have if c == want else c for c in cols]
         for i, v in enumerate(labels):
             colour[v] = cols[i]
-        done_blocks.add(bi)
         for v in blk[bi]:
             for bj in vertex_blocks[v]:
                 if bj not in seen_blocks:
@@ -211,6 +214,7 @@ def _colour_regular_biconnected(d: Digraph, k: int) -> list[int] | None:
     """Regular 2-connected non-tight case: find x with two same-side
     neighbours u, v not spanning a digon whose removal keeps the rest
     connected, then greedily colour (v, u, reverse BFS from x)."""
+    full = (1 << d.n) - 1
     for x in range(d.n):
         for side in (d.out_sets, d.in_sets):
             nbrs = sorted(side[x])
@@ -219,24 +223,16 @@ def _colour_regular_biconnected(d: Digraph, k: int) -> list[int] | None:
                     u, v = nbrs[i], nbrs[j]
                     if d.has_digon(u, v):
                         continue
-                    if not _connected_without(d, u, v, x):
+                    rest = full & ~(1 << u | 1 << v)
+                    if len(components(d.und_masks, rest)) != 1:
                         continue
-                    rest = [w for w in range(d.n) if w not in (u, v)]
-                    sub, labels = d.induced(rest)
+                    sub, labels = d.induced(bits(rest))
                     order_sub = bfs_order(sub, labels.index(x))
                     order = [v, u] + [labels[w] for w in reversed(order_sub)]
                     res = greedy_dicolour(d, order)
                     if res.k <= k and verify_dicolouring(d, res).valid:
                         return list(res.colours)
     return None
-
-
-def _connected_without(d: Digraph, u: int, v: int, probe: int) -> bool:
-    keep = [w for w in range(d.n) if w not in (u, v)]
-    if not keep:
-        return False
-    sub, _ = d.induced(keep)
-    return sub.is_connected
 
 
 def deltamin_gadget(d: Digraph, k: int) -> Digraph:

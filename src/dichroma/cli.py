@@ -50,7 +50,7 @@ def parse_digraph_file(text: str) -> Digraph:
     try:
         return build_digraph(n, arcs)
     except (LoopArc, DuplicateArc) as exc:
-        offender = _find_offender(rows, arcs_seen=True)
+        offender = _find_offender(rows)
         raise FileSemanticError(str(exc), offender) from exc
     except DichromaError as exc:
         raise FileSemanticError(str(exc), rows[0][0] if rows else 1) from exc
@@ -96,7 +96,7 @@ def _parse_rows(text: str):
     return header, rows
 
 
-def _find_offender(rows, arcs_seen: bool) -> int:
+def _find_offender(rows) -> int:
     seen = set()
     for line_no, (u, v) in rows:
         if u == v or (u, v) in seen:
@@ -151,6 +151,12 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise UsageError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
+def _budget(ns) -> dict:
+    """--budget as a keyword argument, only when one was given, so that
+    without it every search keeps its library default."""
+    return {} if ns.budget is None else {"budget": ns.budget}
 
 
 def _self_check(ok: bool, claim: str) -> None:
@@ -262,7 +268,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         g, text = _load_graph(ns.file)
         d = _need_digraph(g, ns.file)
         try:
-            res = col_mod.exact_dichromatic(d, budget=ns.budget)
+            res = col_mod.exact_dichromatic(d, **_budget(ns))
         except col_mod.BudgetExceeded as exc:
             return {"digest": _digest(text), "bounds": [exc.lower, exc.upper]}, 0
         _self_check(col_mod.verify_dicolouring(d, res.colouring).valid, "dicolouring")
@@ -339,7 +345,7 @@ def _dispatch(ns) -> tuple[dict, int]:
     if cmd == "extremal":
         g, text = _load_graph(ns.file)
         d = _need_digraph(g, ns.file)
-        res = ext_mod.recognize_k_extremal(d, ns.k, budget=ns.budget)
+        res = ext_mod.recognize_k_extremal(d, ns.k, **_budget(ns))
         rep: dict = {"digest": _digest(text), "extremal": res.extremal, "k": ns.k}
         if res.certificate is not None:
             _self_check(res.certificate.replay_arcs() == d.arcs, "certificate replays the input")
@@ -359,7 +365,7 @@ def _dispatch(ns) -> tuple[dict, int]:
             pat = _need_digraph(pg, ns.pattern)
         else:
             raise UsageError("need --pattern FILE or --pattern-name NAME")
-        emb = hero_mod.contains_induced(d, pat, budget=ns.budget)
+        emb = hero_mod.contains_induced(d, pat, **_budget(ns))
         rep = {"digest": _digest(text), "free": emb is None}
         if emb is not None:
             _self_check(emb.verify(d, pat), "induced embedding")
@@ -445,7 +451,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         g, text = _load_graph(ns.file)
         mg = _need_multigraph(g, ns.file)
         if ns.exact:
-            value, colouring = def_mod.exact_defective_index(mg, ns.d, budget=ns.budget)
+            value, colouring = def_mod.exact_defective_index(mg, ns.d, **_budget(ns))
         else:
             colouring = def_mod.defective_colour(mg, ns.d, simple_hint=ns.simple)
             value = colouring.k
@@ -494,7 +500,10 @@ def _gen(ns) -> tuple[dict, int]:
     if name == "wheel":
         if not ns.children:
             raise UsageError("wheel needs --children JSON")
-        children = json.loads(ns.children)
+        try:
+            children = json.loads(ns.children)
+        except ValueError:
+            raise UsageError(f"--children is not JSON: {ns.children!r}") from None
         d = ext_mod.generalized_wheel(children)
         return {"graph": format_digraph(d), "n": d.n}, 0
     if name == "fk":
@@ -515,7 +524,7 @@ def _gen(ns) -> tuple[dict, int]:
         "forbidden": list(gen.forbidden),
     }
     if ns.verify:
-        rep["verification"] = hero_mod.verify_generated(gen, budget=ns.budget)
+        rep["verification"] = hero_mod.verify_generated(gen, **_budget(ns))
     return rep, 0
 
 

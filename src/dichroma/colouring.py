@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Digraph, strong_components
+from .core import Digraph, bfs_path, is_acyclic, mask_of, strong_components
 from .errors import (
     BudgetExceeded,
     InvalidInput,
@@ -49,21 +49,6 @@ def _check_range(cols: Sequence[int], k: int) -> None:
     bad = next((c for c in cols if c < 1 or c > k), None)
     if bad is not None:
         raise InvalidInput(f"colour {bad} outside 1..{k}")
-
-
-def _acyclic_mask(out_masks: Sequence[int], s: int) -> bool:
-    """Does the vertex bitset s induce an acyclic subdigraph?"""
-    while s:
-        t = s
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if out_masks[v] & s == 0:
-                s &= ~(1 << v)
-        if s == t:
-            return False
-    return True
 
 
 def find_cycle_in(d: Digraph, vertices: Sequence[int]) -> list[int] | None:
@@ -282,7 +267,7 @@ def _odd_dicycle_from_conflict(d: Digraph, inside: set[int], v: int, w: int) -> 
         if (a, b) in d.arcs:
             seg = [a, b]
         else:
-            seg = _shortest_dipath(d, inside, a, b)
+            seg = bfs_path(d.out_masks, mask_of(inside), a, b)
             # an even-length dipath plus the reverse arc closes an odd
             # dicycle directly
             if len(seg) % 2 == 1:
@@ -328,26 +313,6 @@ def _path_to_root(parent: dict[int, int | None], v: int) -> list[int]:
     while parent[out[-1]] is not None:
         out.append(parent[out[-1]])  # type: ignore[arg-type]
     return out
-
-
-def _shortest_dipath(d: Digraph, inside: set[int], a: int, b: int) -> list[int]:
-    from collections import deque
-
-    prev = {a: -1}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        if v == b:
-            break
-        for w in sorted(d.out_sets[v] & inside):
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
 
 
 def _odd_cycle_from_trail(trail: list[int]) -> list[int]:
@@ -521,7 +486,7 @@ def _cheap_bounds(d: Digraph) -> tuple[int, Dicolouring]:
     strong component."""
     greedy = greedy_dicolour(d, list(range(d.n)))
     lb = max(1, len(_digon_clique_bound(d)))
-    if not _acyclic_mask(d.out_masks, (1 << d.n) - 1):
+    if not is_acyclic(d.out_masks, (1 << d.n) - 1):
         lb = max(lb, 2)
     return lb, greedy
 

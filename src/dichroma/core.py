@@ -116,28 +116,24 @@ class Digraph:
         return Digraph(len(labels), arcs), labels
 
     @cached_property
+    def und_masks(self) -> tuple[int, ...]:
+        """Neighbourhood bitsets of the underlying graph."""
+        return tuple(o | i for o, i in zip(self.out_masks, self.in_masks))
+
+    @cached_property
     def is_connected(self) -> bool:
         """Weak connectivity of the underlying graph (true for n <= 1)."""
-        if self.n <= 1:
-            return True
-        seen = _closure(self.und_sets, {0})
-        return len(seen) == self.n
+        return len(components(self.und_masks, (1 << self.n) - 1)) <= 1
 
     @cached_property
     def is_strong(self) -> bool:
-        if self.n <= 1:
-            return True
-        fwd = _closure(self.out_sets, {0})
-        if len(fwd) != self.n:
-            return False
-        return len(_closure(self.in_sets, {0})) == self.n
+        full = (1 << self.n) - 1
+        return reach(self.out_masks, full, 1) == reach(self.in_masks, full, 1) == full
 
     @cached_property
     def is_biconnected(self) -> bool:
-        """2-connectedness of the underlying graph (no cutvertex, n >= 3)."""
-        if self.n < 3 or not self.is_connected:
-            return False
-        return not _cutvertices(self.und_sets, self.n)
+        """2-connectedness of the underlying graph (one block, n >= 3)."""
+        return self.n >= 3 and blocks(self) == [frozenset(range(self.n))]
 
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
@@ -165,6 +161,15 @@ class Multigraph:
             a[u].append((v, i))
             a[v].append((u, i))
         return tuple(tuple(x) for x in a)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbourhood bitsets (multiplicity ignored)."""
+        out = [0] * self.n
+        for u, v in self.edges:
+            out[u] |= 1 << v
+            out[v] |= 1 << u
+        return tuple(out)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -254,55 +259,169 @@ def partition(n: int, parts: Iterable[Iterable[int]]) -> VertexSetPartition:
     return VertexSetPartition(n, ps)
 
 
-def _closure(nbrs: Sequence[frozenset[int]], start: set[int]) -> set[int]:
-    seen = set(start)
-    stack = sorted(start)
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+# ---------------------------------------------------------------------------
+# traversal primitives over vertex bitsets (bit v stands for vertex v)
+
+
+def bits(mask: int) -> list[int]:
+    """The vertices of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitset of some vertices."""
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
+def reach(adj: Sequence[int], within: int, sources: int) -> int:
+    """The vertices of the bitset `within` reachable from the bitset
+    `sources` inside it, along the neighbourhood bitsets `adj`."""
+    seen = frontier = sources & within
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
     return seen
 
 
-def _cutvertices(und: Sequence[frozenset[int]], n: int) -> list[int]:
-    """Articulation points of the underlying graph (iterative lowpoint DFS)."""
-    disc = [-1] * n
+def components(adj: Sequence[int], within: int) -> list[int]:
+    """Components of the undirected graph with neighbourhood bitsets `adj`
+    restricted to the vertex bitset `within`, as bitsets ordered by least
+    vertex."""
+    out = []
+    while within:
+        comp = reach(adj, within, within & -within)
+        out.append(comp)
+        within &= ~comp
+    return out
+
+
+def _lowpoint_dfs(
+    adj: Sequence[int], doubled: Sequence[int]
+) -> list[tuple[int, int, int, int]]:
+    """Lowpoint depth-first search (Hopcroft & Tarjan 1973) over the
+    neighbourhood bitsets `adj`: roots in ascending index, and each vertex
+    descends to its least unvisited neighbour.  `doubled[v]` holds the
+    neighbours joined to v by more than one edge; such an edge back to the
+    parent counts as a back edge.
+
+    Returns (p, v, low[v] - disc[p], bitset of v's subtree) for each tree
+    edge p-v, in the order the search leaves v.  The edge is a bridge iff
+    the gap is positive; p cuts v's subtree off iff it is not negative.
+    """
+    n = len(adj)
+    disc = [0] * n
     low = [0] * n
-    cut = [False] * n
-    timer = 0
+    sub = [0] * n
+    seen = 0
+    t = 0
+    out = []
     for root in range(n):
-        if disc[root] != -1:
+        if seen >> root & 1:
             continue
-        root_children = 0
-        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(sorted(und[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
+        seen |= 1 << root
+        disc[root] = low[root] = t
+        t += 1
+        sub[root] = 1 << root
+        stack = [root]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(sorted(und[w]))))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
+            v = stack[-1]
+            free = adj[v] & ~seen
+            if free:
+                w_bit = free & -free
+                w = w_bit.bit_length() - 1
+                seen |= w_bit
+                disc[w] = low[w] = t
+                t += 1
+                sub[w] = w_bit
+                # the visited neighbours of a new vertex are its ancestors
+                back = adj[w] & seen & ~(1 << v & ~doubled[w])
+                while back:
+                    x_bit = back & -back
+                    back ^= x_bit
+                    x = disc[x_bit.bit_length() - 1]
+                    if x < low[w]:
+                        low[w] = x
+                stack.append(w)
+            else:
                 stack.pop()
                 if stack:
-                    p = stack[-1][0]
+                    p = stack[-1]
                     low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cut[p] = True
-        if root_children > 1:
-            cut[root] = True
-    return [v for v in range(n) if cut[v]]
+                    sub[p] |= sub[v]
+                    out.append((p, v, low[v] - disc[p], sub[v]))
+    return out
+
+
+def bridges(g: Multigraph) -> list[int]:
+    """Indices of the bridges of g, in the order the lowpoint search finds
+    them (Tarjan 1974).  An edge with a parallel copy is never a bridge."""
+    index: dict[tuple[int, int], int] = {}
+    doubled = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        if (u, v) in index:
+            doubled[u] |= 1 << v
+            doubled[v] |= 1 << u
+        index[u, v] = i
+    return [
+        index[min(p, v), max(p, v)]
+        for p, v, gap, _ in _lowpoint_dfs(g.masks, doubled)
+        if gap > 0
+    ]
+
+
+def is_acyclic(out_masks: Sequence[int], s: int) -> bool:
+    """Does the vertex bitset s induce an acyclic subdigraph?  Peels the
+    vertices with no out-neighbour left in s; a round that peels none
+    leaves a dicycle."""
+    while s:
+        t = s
+        m = s
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if out_masks[v] & s == 0:
+                s &= ~(1 << v)
+        if s == t:
+            return False
+    return True
+
+
+def bfs_path(adj: Sequence[int], within: int, a: int, b: int) -> list[int] | None:
+    """A shortest a-b path along the neighbourhood bitsets `adj` inside the
+    vertex bitset `within`, or None.  Breadth-first from a, each vertex
+    queueing its new neighbours in ascending index, so a tie goes to the
+    earliest-queued parent."""
+    prev = {a: a}
+    seen = 1 << a
+    queue = [a]
+    for v in queue:  # grows while it is read
+        if v == b:
+            break
+        new = adj[v] & within & ~seen
+        seen |= new
+        for w in bits(new):
+            prev[w] = v
+            queue.append(w)
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
 
 
 def strong_components(d: Digraph) -> VertexSetPartition:
@@ -360,63 +479,23 @@ def strong_components(d: Digraph) -> VertexSetPartition:
 
 
 def weak_components(d: Digraph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    out = []
-    for v in range(d.n):
-        if v not in seen:
-            comp = _closure(d.und_sets, {v})
-            seen |= comp
-            out.append(frozenset(comp))
-    return out
+    return [frozenset(bits(c)) for c in components(d.und_masks, (1 << d.n) - 1)]
 
 
 def blocks(d: Digraph) -> list[frozenset[int]]:
     """2-connected components of the underlying multigraph, as vertex sets.
 
     A bridge forms a block of its own; isolated vertices form none.
-    Deterministic order (by smallest discovery time).
+    Deterministic order (the order the lowpoint search closes them).
     """
-    n = d.n
-    und = d.und_sets
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[tuple[int, int]] = []
     out: list[frozenset[int]] = []
-    for root in range(n):
-        if disc[root] != -1 or not und[root]:
-            continue
-        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(sorted(und[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(sorted(und[w]))))
-                    advanced = True
-                    break
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= disc[p]:
-                        comp: set[int] = set()
-                        while edge_stack:
-                            x, y = edge_stack.pop()
-                            comp.add(x)
-                            comp.add(y)
-                            if (x, y) == (p, v):
-                                break
-                        out.append(frozenset(comp))
+    taken = 0
+    for p, v, gap, sub in _lowpoint_dfs(d.und_masks, [0] * d.n):
+        if gap >= 0:
+            # p separates v's subtree; its vertices not yet in a block,
+            # plus p, form the block
+            out.append(frozenset(bits(sub & ~taken | 1 << p)))
+            taken |= sub
     return out
 
 
@@ -464,18 +543,10 @@ def euler_tour(g: Multigraph) -> EulerResult:
     if not active:
         return EulerResult(tour_vertices=(), tour_edges=())
     start = active[0]
-    seen = {start}
-    stack = [start]
-    und = [[w for w, _ in g.adj[v]] for v in range(g.n)]
-    while stack:
-        v = stack.pop()
-        for w in und[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    for v in active:
-        if v not in seen:
-            return EulerResult(disconnected_pair=(start, v))
+    reach = components(g.masks, mask_of(active))[0]
+    missing = next((v for v in active if not reach >> v & 1), None)
+    if missing is not None:
+        return EulerResult(disconnected_pair=(start, missing))
     used = [False] * g.m()
     ptr = [0] * g.n
     path: list[tuple[int, int]] = []  # (vertex, edge used to get there)
@@ -543,19 +614,4 @@ def induced_multigraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigra
 
 
 def multigraph_components(g: Multigraph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w, _ in g.adj[x]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(bits(c)) for c in components(g.masks, (1 << g.n) - 1)]

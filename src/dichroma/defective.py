@@ -14,7 +14,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Multigraph, build_multigraph, multigraph_components
+from .core import (
+    Multigraph,
+    bits,
+    bridges,
+    build_multigraph,
+    components,
+    multigraph_components,
+)
 from .errors import (
     BudgetExceeded,
     BadParameters,
@@ -589,96 +596,42 @@ class _SurgeryColours:
         self.colours = colours
 
 
-def _multigraph_bridges(g: Multigraph) -> list[int]:
-    """Indices of bridge edges (multi-edges are never bridges)."""
-    mult: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(g.edges):
-        mult.setdefault(e, []).append(i)
-    disc = [-1] * g.n
-    low = [0] * g.n
-    timer = [0]
-    bridges: list[int] = []
-    for root in range(g.n):
-        if disc[root] != -1 or g.degree(root) == 0:
-            continue
-        stack = [(root, -1, iter(sorted(set(w for w, _ in g.adj[root]))))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        parent_edge = {root: -1}
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, v, iter(sorted(set(x for x, _ in g.adj[w])))))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    key = (v, w) if v < w else (w, v)
-                    if len(mult[key]) > 1:
-                        low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        key = (p, v) if p < v else (v, p)
-                        if len(mult[key]) == 1:
-                            bridges.append(mult[key][0])
-    return sorted(bridges)
-
-
-def _side_vertices(g: Multigraph, bridge_idx: int) -> tuple[set[int], set[int]]:
-    u, v = g.edges[bridge_idx]
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for w, ei in g.adj[x]:
-            if ei == bridge_idx:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    side_u = seen
-    side_v = set(range(g.n)) - seen
-    side_v = {x for x in side_v if g.degree(x) > 0 or x == v}
-    return side_u, side_v
-
-
 def _factor_with_surgery(g: Multigraph, phi: int, d: int, k: int, depth: int):
     """A phi-factor of the regular multigraph g, or a full k-colouring
     produced by splitting g at a cut edge, or None."""
     fac = _factor(g, [phi] * g.n)
     if fac is not None:
         return fac
-    bridges = _multigraph_bridges(g)
-    if not bridges:
-        return None
+    # per bridge u-v: the vertices on u's side, and the non-isolated ones
+    # (plus v) on the other
+    cuts = []
+    for bi in sorted(bridges(g)):
+        u, v = g.edges[bi]
+        adj = list(g.masks)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        side_u = next(c for c in components(adj, (1 << g.n) - 1) if c >> u & 1)
+        side_v = {x for x in range(g.n) if not side_u >> x & 1 and (g.degree(x) or x == v)}
+        cuts.append((bi, set(bits(side_u)), side_v))
     # try the edge surgery: a bridge with a three-vertex side
-    for bi in bridges:
-        res = _edge_surgery_factor(g, bi, phi)
+    for cut in cuts:
+        res = _edge_surgery_factor(g, cut, phi)
         if res is not None:
             return res
     # vertex surgery: replace one side of a bridge by the three-vertex
     # extremal multigraph, colour both halves, and merge along the bridge
-    for bi in bridges:
-        res = _vertex_surgery_colours(g, bi, d, k, depth)
+    for cut in cuts:
+        res = _vertex_surgery_colours(g, cut, d, k, depth)
         if res is not None:
             return res
     return None
 
 
-def _edge_surgery_factor(g: Multigraph, bridge_idx: int, phi: int) -> list[int] | None:
+def _edge_surgery_factor(g: Multigraph, cut, phi: int) -> list[int] | None:
     """Factor through the crossing trick when one bridge side is the
     three-vertex extremal multigraph."""
+    bridge_idx, side_u, side_v = cut
     u, v = g.edges[bridge_idx]
-    side_u, side_v = _side_vertices(g, bridge_idx)
     for a_side, b_side, uu, vv in ((side_u, side_v, u, v), (side_v, side_u, v, u)):
         if len(b_side) != 3 or len(a_side) < 4:
             continue
@@ -734,10 +687,10 @@ def _edge_surgery_factor(g: Multigraph, bridge_idx: int, phi: int) -> list[int] 
 
 
 def _vertex_surgery_colours(
-    g: Multigraph, bridge_idx: int, d: int, k: int, depth: int
+    g: Multigraph, cut, d: int, k: int, depth: int
 ) -> _SurgeryColours | None:
+    bridge_idx, side_u, side_v = cut
     u, v = g.edges[bridge_idx]
-    side_u, side_v = _side_vertices(g, bridge_idx)
     if len(side_u) <= 3 or len(side_v) <= 3:
         return None
     delta = g.degree(u)

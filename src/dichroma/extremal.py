@@ -13,9 +13,19 @@ verdict is the conjunction over the children of the first split found.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .core import Arc, Digraph, build_digraph
+from .core import (
+    Arc,
+    Digraph,
+    Multigraph,
+    bfs_path,
+    bits,
+    bridges,
+    build_digraph,
+    components,
+    mask_of,
+)
 from .errors import (
     BadEmbeddingOrder,
     BudgetExceeded,
@@ -173,9 +183,9 @@ def hajos_bijoin(
     ):
         if arc not in dd.arcs:
             raise PreconditionViolated(f"missing arc {name} = {arc}")
-    if not _same_component_without(d1, t, w, a1):
+    if not _joined(d1.und_masks, (1 << d1.n) - 1 & ~(1 << a1), t, w):
         raise PreconditionViolated("t and w separate when a1 is removed")
-    if not _same_component_without(d2, u, v, a2):
+    if not _joined(d2.und_masks, (1 << d2.n) - 1 & ~(1 << a2), u, v):
         raise PreconditionViolated("u and v separate when a2 is removed")
     mapping = _append_mapping(d1.n, d2.n, {a2: a1})
     arcs = set(d1.arcs) - {(t, a1), (a1, w)}
@@ -191,62 +201,24 @@ def hajos_bijoin(
     )
 
 
-def _same_component_without(d: Digraph, x: int, y: int, gone: int) -> bool:
-    if x == gone or y == gone:
-        return False
-    if x == y:
-        return True
-    seen = {x}
-    stack = [x]
-    while stack:
-        z = stack.pop()
-        for nb in d.und_sets[z]:
-            if nb != gone and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return y in seen
+def _joined(adj: Sequence[int], within: int, x: int, y: int) -> bool:
+    """Do x and y lie in one component of the vertex bitset within?"""
+    return any(c >> x & 1 and c >> y & 1 for c in components(adj, within))
 
 
-def _tree_structure(tree_edges: Sequence[tuple[int, int]]):
-    adj: dict[int, set[int]] = {}
+def _tree_structure(n: int, tree_edges: Sequence[tuple[int, int]]):
+    """Leaves, neighbourhood bitsets and vertex bitset of a tree on 0..n-1."""
+    adj = [0] * n
     for a, b in tree_edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    vs = set(adj)
-    if len(vs) != len(tree_edges) + 1:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidInput(f"tree edge ({a}, {b}) outside 0..{n - 1}")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    vs = mask_of(v for v in range(n) if adj[v])
+    if vs.bit_count() != len(tree_edges) + 1 or len(components(adj, vs)) != 1:
         raise InvalidInput("edge list is not a tree")
-    seen = {min(vs)}
-    stack = [min(vs)]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != vs:
-        raise InvalidInput("edge list is not a tree")
-    leaves = {v for v in vs if len(adj[v]) == 1}
-    return leaves, adj
-
-
-def _tree_path(adj: dict[int, set[int]], a: int, b: int) -> list[int]:
-    from collections import deque
-
-    prev = {a: -1}
-    q = deque([a])
-    while q:
-        x = q.popleft()
-        if x == b:
-            break
-        for y in sorted(adj[x]):
-            if y not in prev:
-                prev[y] = x
-                q.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    leaves = {v for v in bits(vs) if adj[v].bit_count() == 1}
+    return leaves, adj, vs
 
 
 def hajos_tree_join(
@@ -275,7 +247,8 @@ def hajos_tree_join(
         raise InvalidInput("need at least two tree edges")
     if len(parts) != len(tree_edges):
         raise InvalidInput("one part per tree edge required")
-    leaves, adj = _tree_structure(tree_edges)
+    leaves, adj, vs = _tree_structure(n, tree_edges)
+    tree_vs = set(bits(vs))
     order = list(order)
     if len(set(order)) != len(order):
         raise BadEmbeddingOrder("repeated vertex in the peripheral order")
@@ -285,13 +258,13 @@ def hajos_tree_join(
     else:
         if not leaves <= set(order):
             raise BadEmbeddingOrder("order must contain every leaf")
-        if not set(order) <= set(adj):
+        if not set(order) <= tree_vs:
             raise BadEmbeddingOrder("order contains a non-tree vertex")
     if check_embedding:
         used: set[tuple[int, int]] = set()
         for i, xv in enumerate(order):
             y = order[(i + 1) % len(order)]
-            path = _tree_path(adj, xv, y)
+            path = bfs_path(adj, vs, xv, y)
             for a, b in zip(path, path[1:]):
                 if (a, b) in used:
                     raise BadEmbeddingOrder(
@@ -299,7 +272,6 @@ def hajos_tree_join(
                     )
                 used.add((a, b))
     part_arcs = [frozenset(p) for p in parts]
-    tree_vs = set(adj)
     owner: dict[int, int] = {}
     arcs: set[Arc] = set()
     for i, ((ui, vi), pa) in enumerate(zip(tree_edges, part_arcs)):
@@ -359,8 +331,8 @@ def parallel_hajos_join(
     order, then the C side minus x.
     """
     aset = set(a_side)
-    if x not in aset:
-        raise PreconditionViolated("x must belong to the A side")
+    if x not in aset or not 0 <= x < d_ac.n:
+        raise PreconditionViolated("x must be a vertex of the A side")
     cset = (set(range(d_ac.n)) - aset) | {x}
     if not (t in aset and w in aset and t != x and w != x):
         raise PreconditionViolated("t and w must lie in the A side, apart from x")
@@ -376,11 +348,9 @@ def parallel_hajos_join(
             raise PreconditionViolated(f"extra crossing arc {p}->{q}")
     if not d_b.has_digon(a, b):
         raise PreconditionViolated("d_b lacks the digon [a, b]")
-    if not _same_component_without(d_ac, t, w, x):
+    if not _joined(d_ac.und_masks, (1 << d_ac.n) - 1 & ~(1 << x), t, w):
         raise PreconditionViolated("t and w separate when x is removed")
-    csub, clabels = d_ac.induced(sorted(cset))
-    cpos = {lab: i for i, lab in enumerate(clabels)}
-    if not _same_component_without(csub, cpos[u], cpos[v], cpos[x]):
+    if not _joined(d_ac.und_masks, mask_of(cset - {x}), u, v):
         raise PreconditionViolated("u and v separate in the C side without x")
     mapping: dict[int, int] = {}
     nxt = d_b.n
@@ -674,32 +644,14 @@ Child = tuple[Digraph, tuple[int, ...]]
 Found = tuple[str, dict, list[Child]]
 
 
-def _components_without(
-    d: Digraph, gone: set[int], drop: frozenset[Arc] | set[Arc] = frozenset()
-) -> list[set[int]]:
-    """Underlying components after deleting vertices and specific arcs."""
-    und: dict[int, set[int]] = {v: set() for v in range(d.n) if v not in gone}
-    for p, q in d.arcs:
-        if p in gone or q in gone or (p, q) in drop:
-            continue
-        und[p].add(q)
-        und[q].add(p)
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for v in sorted(und):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in und[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
+def _underlying(d: Digraph, keep: int, drop: Collection[Arc]) -> Multigraph:
+    """Underlying multigraph of d on the vertex bitset keep, without the
+    arcs in drop; a digon gives two parallel edges."""
+    return Multigraph(d.n, tuple(
+        (p, q) if p < q else (q, p)
+        for p, q in d.arcs
+        if keep >> p & 1 and keep >> q & 1 and (p, q) not in drop
+    ))
 
 
 def _child_plus(d: Digraph, vertices: list[int], extra: list[Arc]) -> Child:
@@ -723,21 +675,23 @@ def _verify_split(d: Digraph, kind: str, witness: dict, children: list[Child]) -
 
 def _find_directed_split(d: Digraph) -> Found | None:
     """First (lex by (u, w, v)) directed-join split, replay-verified."""
+    full = (1 << d.n) - 1
     for u, w in d.sorted_arcs():
+        adj = _underlying(d, full, [(u, w)]).masks
         for v in range(d.n):
             if v == u or v == w:
                 continue
             if (u, v) in d.arcs or (v, w) in d.arcs:
                 continue
-            comps = _components_without(d, {v}, drop={(u, w)})
+            comps = components(adj, full & ~(1 << v))
             if len(comps) != 2:
                 continue
-            cu = next((c for c in comps if u in c), None)
-            cw = next((c for c in comps if w in c), None)
-            if cu is None or cw is None or cu is cw:
+            cu = next(c for c in comps if c >> u & 1)
+            cw = next(c for c in comps if c >> w & 1)
+            if cu == cw:
                 continue
-            ch1 = _child_plus(d, sorted(cu | {v}), [(u, v)])
-            ch2 = _child_plus(d, sorted(cw | {v}), [(v, w)])
+            ch1 = _child_plus(d, bits(cu | 1 << v), [(u, v)])
+            ch2 = _child_plus(d, bits(cw | 1 << v), [(v, w)])
             witness = {"u": u, "v": v, "w": w}
             if _verify_split(d, JOIN_DIRECTED, witness, [ch1, ch2]):
                 return JOIN_DIRECTED, witness, [ch1, ch2]
@@ -747,18 +701,21 @@ def _find_directed_split(d: Digraph) -> Found | None:
 def _find_star_split(d: Digraph) -> Found | None:
     """Star split: centre y plus a rim dicycle traced through the bridges
     of d minus y minus the closing arc."""
+    full = (1 << d.n) - 1
     for y in range(d.n):
+        keep = full & ~(1 << y)
         for pl, p1 in d.sorted_arcs():
             if y in (pl, p1):
                 continue
-            bridges = _bridges_without(d, y, (pl, p1))
-            forest: dict[int, set[int]] = {}
-            for a, b in bridges:
-                forest.setdefault(a, set()).add(b)
-                forest.setdefault(b, set()).add(a)
-            if p1 not in forest or pl not in forest:
+            g = _underlying(d, keep, [(pl, p1)])
+            forest = [0] * d.n
+            for i in bridges(g):
+                a, b = g.edges[i]
+                forest[a] |= 1 << b
+                forest[b] |= 1 << a
+            if not forest[p1] or not forest[pl]:
                 continue
-            path = _forest_path(forest, p1, pl)
+            path = bfs_path(forest, full, p1, pl)
             if path is None or len(path) < 2:
                 continue
             if any(
@@ -769,18 +726,14 @@ def _find_star_split(d: Digraph) -> Found | None:
             if any(d.has_arc(y, p) or d.has_arc(p, y) for p in rim):
                 continue
             cyc_arcs = {(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))}
-            comps = _components_without(d, {y}, drop=cyc_arcs)
+            comps = components(_underlying(d, keep, cyc_arcs).masks, keep)
             if len(comps) != len(rim):
                 continue
-            comp_of: list[set[int] | None] = []
-            for p in rim:
-                comp_of.append(next((c for c in comps if p in c), None))
-            if any(c is None for c in comp_of):
-                continue
-            if len({id(c) for c in comp_of}) != len(rim):
+            comp_of = [next(c for c in comps if c >> p & 1) for p in rim]
+            if len(set(comp_of)) != len(rim):
                 continue
             children = [
-                _child_plus(d, sorted(comp_of[i] | {y}), [(y, rim[i]), (rim[i], y)])
+                _child_plus(d, bits(comp_of[i] | 1 << y), [(y, rim[i]), (rim[i], y)])
                 for i in range(len(rim))
             ]
             witness = {"centre": y, "rim": tuple(rim)}
@@ -789,83 +742,16 @@ def _find_star_split(d: Digraph) -> Found | None:
     return None
 
 
-def _bridges_without(d: Digraph, y: int, arc: Arc) -> list[tuple[int, int]]:
-    """Bridges of the underlying graph of d minus vertex y minus one arc.
-
-    An underlying edge backed by a digon is never a bridge candidate here,
-    because dropping a single arc keeps the reverse one.
-    """
-    und: dict[int, dict[int, int]] = {v: {} for v in range(d.n) if v != y}
-    for p, q in d.arcs:
-        if p == y or q == y or (p, q) == arc:
-            continue
-        und[p][q] = und[p].get(q, 0) + 1
-        und[q][p] = und[q].get(p, 0) + 1
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: list[tuple[int, int]] = []
-    timer = [0]
-    for root in sorted(und):
-        if root in disc:
-            continue
-        stack = [(root, -1, iter(sorted(und[root])))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            vtx, parent, it = stack[-1]
-            advanced = False
-            for nb in it:
-                if nb not in disc:
-                    disc[nb] = low[nb] = timer[0]
-                    timer[0] += 1
-                    stack.append((nb, vtx, iter(sorted(und[nb]))))
-                    advanced = True
-                    break
-                elif nb != parent:
-                    low[vtx] = min(low[vtx], disc[nb])
-                elif und[vtx][nb] > 1:
-                    low[vtx] = min(low[vtx], disc[nb])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[vtx])
-                    if low[vtx] > disc[p] and und[p][vtx] == 1:
-                        bridges.append((p, vtx))
-    return bridges
-
-
-def _forest_path(forest: dict[int, set[int]], a: int, b: int) -> list[int] | None:
-    from collections import deque
-
-    prev = {a: -1}
-    q = deque([a])
-    while q:
-        x = q.popleft()
-        if x == b:
-            break
-        for y in sorted(forest.get(x, ())):
-            if y not in prev:
-                prev[y] = x
-                q.append(y)
-    if b not in prev:
-        return None
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def _find_parallel_split(d: Digraph) -> Found | None:
     """Parallel split: a non-adjacent junction pair (a, b) whose removal
     already detaches the middle digraph, plus two opposite crossing arcs
     whose removal splits the remaining component in two."""
+    full = (1 << d.n) - 1
     for a in range(d.n):
         for b in range(a + 1, d.n):
             if d.has_arc(a, b) or d.has_arc(b, a):
                 continue
-            comps = _components_without(d, {a, b})
+            comps = components(d.und_masks, full & ~(1 << a | 1 << b))
             if len(comps) < 2:
                 continue
             for aa, bb in ((a, b), (b, a)):
@@ -876,17 +762,15 @@ def _find_parallel_split(d: Digraph) -> Found | None:
 
 
 def _parallel_with_junctions(d: Digraph, a: int, b: int, comps) -> Found | None:
-    a_nbrs = d.und_sets[a] - {b}
-    b_nbrs = d.und_sets[b] - {a}
+    a_nbrs = d.und_masks[a] & ~(1 << b)
+    b_nbrs = d.und_masks[b] & ~(1 << a)
     for s_comp in comps:
         if not (a_nbrs & s_comp) or not (b_nbrs & s_comp):
             continue
-        b_union: set[int] = set()
+        b_union = 0
         for c in comps:
-            if c is not s_comp:
+            if c != s_comp:
                 b_union |= c
-        if not b_union:
-            continue
         found = _parallel_cut_search(d, a, b, s_comp, b_union)
         if found is not None:
             return found
@@ -894,17 +778,13 @@ def _parallel_with_junctions(d: Digraph, a: int, b: int, comps) -> Found | None:
 
 
 def _parallel_cut_search(
-    d: Digraph, a: int, b: int, s_comp: set[int], b_union: set[int]
+    d: Digraph, a: int, b: int, s_comp: int, b_union: int
 ) -> Found | None:
     # fully degenerate crossing: the two crossing arcs form a digon
     for p, q in d.sorted_arcs():
-        if p < q and p in s_comp and q in s_comp and (q, p) in d.arcs:
+        if p < q and s_comp >> p & 1 and s_comp >> q & 1 and (q, p) in d.arcs:
             e, f = (p, q), (q, p)
-            parts = [
-                c
-                for c in _components_without(d, {a, b}, drop={e, f})
-                if c & s_comp
-            ]
+            parts = components(_underlying(d, s_comp, [e, f]).masks, s_comp)
             if len(parts) != 2:
                 continue
             found = _validate_parallel(d, a, b, e, f, parts, b_union)
@@ -914,110 +794,60 @@ def _parallel_cut_search(
     inner = [
         (p, q)
         for p, q in d.sorted_arcs()
-        if p in s_comp and q in s_comp and (q, p) not in d.arcs
+        if s_comp >> p & 1 and s_comp >> q & 1 and (q, p) not in d.arcs
     ]
-    sub, labels = d.induced(sorted(s_comp))
-    pos = {v: i for i, v in enumerate(labels)}
     seen_pairs: set[frozenset[Arc]] = set()
     for e in inner:
-        e_local = (pos[e[0]], pos[e[1]])
-        bridges = _bridges_of_minus(sub, e_local)
-        for fb in bridges:
-            f_cands = []
-            if (labels[fb[0]], labels[fb[1]]) in d.arcs:
-                f_cands.append((labels[fb[0]], labels[fb[1]]))
-            if (labels[fb[1]], labels[fb[0]]) in d.arcs:
-                f_cands.append((labels[fb[1]], labels[fb[0]]))
-            for f in f_cands:
-                if f == e or (f[1], f[0]) in d.arcs:
-                    continue
-                key = frozenset({e, f})
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                parts = [
-                    c for c in _components_without(d, {a, b}, drop={e, f})
-                    if c & s_comp
-                ]
-                if len(parts) != 2:
-                    continue
-                found = _validate_parallel(d, a, b, e, f, parts, b_union)
-                if found is not None:
-                    return found
+        g = _underlying(d, s_comp, [e])
+        for i in bridges(g):
+            p, q = g.edges[i]
+            f = (p, q) if (p, q) in d.arcs else (q, p)
+            if f == e or (f[1], f[0]) in d.arcs:
+                continue
+            key = frozenset({e, f})
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            parts = components(_underlying(d, s_comp, [e, f]).masks, s_comp)
+            if len(parts) != 2:
+                continue
+            found = _validate_parallel(d, a, b, e, f, parts, b_union)
+            if found is not None:
+                return found
     return None
 
 
-def _bridges_of_minus(sub: Digraph, dropped: Arc) -> list[tuple[int, int]]:
-    """Bridges of sub's underlying graph with one arc removed."""
-    und: dict[int, dict[int, int]] = {v: {} for v in range(sub.n)}
-    for p, q in sub.arcs:
-        if (p, q) == dropped:
-            continue
-        und[p][q] = und[p].get(q, 0) + 1
-        und[q][p] = und[q].get(p, 0) + 1
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: list[tuple[int, int]] = []
-    timer = [0]
-    for root in sorted(und):
-        if root in disc:
-            continue
-        stack = [(root, -1, iter(sorted(und[root])))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            vtx, parent, it = stack[-1]
-            advanced = False
-            for nb in it:
-                if nb not in disc:
-                    disc[nb] = low[nb] = timer[0]
-                    timer[0] += 1
-                    stack.append((nb, vtx, iter(sorted(und[nb]))))
-                    advanced = True
-                    break
-                elif nb != parent:
-                    low[vtx] = min(low[vtx], disc[nb])
-                elif und[vtx][nb] > 1:
-                    low[vtx] = min(low[vtx], disc[nb])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[vtx])
-                    if low[vtx] > disc[p] and und[p][vtx] == 1:
-                        bridges.append((p, vtx))
-    return bridges
-
-
 def _validate_parallel(
-    d: Digraph, a: int, b: int, e: Arc, f: Arc, s_parts, b_union
+    d: Digraph, a: int, b: int, e: Arc, f: Arc, s_parts: list[int], b_union: int
 ) -> Found | None:
+    a_nbrs = d.und_masks[a] & ~(1 << b)
+    b_nbrs = d.und_masks[b] & ~(1 << a)
     for comp_a, comp_c in (tuple(s_parts), tuple(reversed(s_parts))):
-        if not (e[0] in comp_a and e[1] in comp_c):
+        if not (comp_a >> e[0] & 1 and comp_c >> e[1] & 1):
             continue
-        if not (f[0] in comp_c and f[1] in comp_a):
+        if not (comp_c >> f[0] & 1 and comp_a >> f[1] & 1):
             continue
         t, u = e
         v, w = f
-        if not (d.und_sets[a] - {b}) & comp_a or not (d.und_sets[b] - {a}) & comp_c:
+        if not a_nbrs & comp_a or not b_nbrs & comp_c:
             continue
-        if (d.und_sets[a] - {b}) & comp_c or (d.und_sets[b] - {a}) & comp_a:
+        if a_nbrs & comp_c or b_nbrs & comp_a:
             continue
-        child_b = _child_plus(d, sorted(b_union | {a, b}), [(a, b), (b, a)])
-        labels_ac = sorted(comp_a | comp_c)
+        child_b = _child_plus(d, bits(b_union | 1 << a | 1 << b), [(a, b), (b, a)])
+        labels_ac = bits(comp_a | comp_c)
         pos = {lab: i for i, lab in enumerate(labels_ac)}
         x_child = len(labels_ac)
         arcs_ac: set[Arc] = set()
         for p, q in d.arcs:
             if p in pos and q in pos:
                 arcs_ac.add((pos[p], pos[q]))
-            elif p == a and q in comp_a:
+            elif p == a and comp_a >> q & 1:
                 arcs_ac.add((x_child, pos[q]))
-            elif q == a and p in comp_a:
+            elif q == a and comp_a >> p & 1:
                 arcs_ac.add((pos[p], x_child))
-            elif p == b and q in comp_c:
+            elif p == b and comp_c >> q & 1:
                 arcs_ac.add((x_child, pos[q]))
-            elif q == b and p in comp_c:
+            elif q == b and comp_c >> p & 1:
                 arcs_ac.add((pos[p], x_child))
         child_ac: Child = (
             Digraph(x_child + 1, frozenset(arcs_ac)),
@@ -1030,7 +860,7 @@ def _validate_parallel(
             "w": w,
             "a": a,
             "b": b,
-            "a_side_child": tuple(sorted(pos[z] for z in comp_a)),
+            "a_side_child": tuple(pos[z] for z in bits(comp_a)),
         }
         children = [child_ac, child_b]
         if _verify_split(d, JOIN_PARALLEL, witness, children):
@@ -1127,24 +957,35 @@ def generalized_wheel(children: Sequence[Sequence[int]]) -> Digraph:
     peripheral dicycle over the leaves in depth-first order.
 
     children[v] lists the children of vertex v; vertex 0 is the root.
+    Raises InvalidInput unless the lists form a tree on 0..n-1 rooted at 0.
     """
+    not_tree = InvalidInput("children lists must form a tree on 0..n-1 rooted at 0")
+    if not isinstance(children, Sequence) or not all(
+        isinstance(c, Sequence) and all(isinstance(x, int) for x in c)
+        for c in children
+    ):
+        raise not_tree
     n = len(children)
     if n < 3:
         raise InvalidInput("need at least 3 vertices")
     depth = [0] * n
     arcs: set[Arc] = set()
     order: list[int] = []
-
-    def dfs(v: int):
+    seen = {0}
+    stack = [0]
+    while stack:  # depth first, so leaves are met in depth-first order
+        v = stack.pop()
         if not children[v]:
             order.append(v)
         for c in children[v]:
+            if not 0 <= c < n or c in seen:
+                raise not_tree
+            seen.add(c)
             depth[c] = depth[v] + 1
-            arcs.add((v, c))
-            arcs.add((c, v))
-            dfs(c)
-
-    dfs(0)
+            arcs |= {(v, c), (c, v)}
+        stack.extend(reversed(children[v]))
+    if len(seen) != n:
+        raise not_tree
     if len(order) < 2:
         raise InvalidInput("need at least two leaves for the peripheral dicycle")
     if len({depth[v] % 2 for v in order}) > 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import Digraph, build_digraph
+from .core import Digraph, build_digraph, is_acyclic
 from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
@@ -206,37 +206,21 @@ def transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     """
     out: list[tuple[int, ...]] = []
 
-    def closed(s: tuple[int, ...], v: int) -> bool:
+    def closed(s: tuple[int, ...], mask: int, v: int) -> bool:
         for u in s:
             if (u, v) not in d.arcs and (v, u) not in d.arcs:
                 return False
-        return _acyclic_subset(d, s + (v,))
+        return is_acyclic(d.out_masks, mask | 1 << v)
 
-    def extend(s: tuple[int, ...], start: int):
+    def extend(s: tuple[int, ...], mask: int, start: int):
         out.append(s)
         for v in range(start, d.n):
-            if closed(s, v):
-                extend(s + (v,), v + 1)
+            if closed(s, mask, v):
+                extend(s + (v,), mask | 1 << v, v + 1)
 
     for v in range(d.n):
-        extend((v,), v + 1)
+        extend((v,), 1 << v, v + 1)
     return out
-
-
-def _acyclic_subset(d: Digraph, s: tuple[int, ...]) -> bool:
-    inside = set(s)
-    indeg = {v: len(d.in_sets[v] & inside) for v in s}
-    ready = [v for v in s if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in d.out_sets[v]:
-            if w in inside:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-    return seen == len(s)
 
 
 def gen_chordal_hero_free(k: int, cap: int = 200_000) -> GeneratedDigraph:
@@ -297,10 +281,9 @@ def _weld_hero_free(f: Digraph, g_prev: Digraph, cap: int) -> Digraph:
             for y in range(copy_base, copy_base + f.n):
                 arcs.add((x, y))
         nxt += f.n
-        copy_subs = transitive_subsets(f)
-        if nxt + len(copy_subs) > cap:
+        if nxt + len(subs_f) > cap:
             raise SizeCapExceeded("weld exceeds cap")
-        for t2 in copy_subs:
+        for t2 in subs_f:
             apex = nxt
             nxt += 1
             for y in t2:
@@ -408,17 +391,21 @@ def pattern(name: str) -> Digraph:
 
 
 def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:
-    """Opt-in self-check of a generator's claims (exponential routines)."""
+    """Opt-in self-check of a generator's claims (exponential routines).
+
+    `budget` caps each search; None leaves each search its own default.
+    """
     from .colouring import exact_dichromatic
 
     report: dict = {"name": gen.name, "params": gen.params}
+    limit = {} if budget is None else {"budget": budget}
     if gen.claimed_chi is not None:
-        value = exact_dichromatic(gen.digraph, budget=budget).value
+        value = exact_dichromatic(gen.digraph, **limit).value
         report["chi"] = value
         report["chi_ok"] = value == gen.claimed_chi
     freeness = {}
     for pname in gen.forbidden:
-        emb = contains_induced(gen.digraph, pattern(pname), budget=budget)
+        emb = contains_induced(gen.digraph, pattern(pname), **limit)
         freeness[pname] = emb is None
     if freeness:
         report["free"] = freeness

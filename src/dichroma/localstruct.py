@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .colouring import Dicolouring
-from .core import Digraph, contract, partition, strong_components
+from .core import Digraph, contract, is_acyclic, mask_of, partition, strong_components
 from .errors import (
     InvalidInput,
     NotOriented,
@@ -45,24 +45,8 @@ def _is_semicomplete(d: Digraph, s) -> bool:
     return True
 
 
-def _is_acyclic(d: Digraph, s) -> bool:
-    inside = set(s)
-    indeg = {v: len(d.in_sets[v] & inside) for v in inside}
-    ready = [v for v in inside if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in d.out_sets[v]:
-            if w in inside:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-    return seen == len(inside)
-
-
 def _is_transitive_tournament(d: Digraph, s) -> bool:
-    return _is_tournament(d, s) and _is_acyclic(d, s)
+    return _is_tournament(d, s) and is_acyclic(d.out_masks, mask_of(s))
 
 
 @dataclass(frozen=True)
@@ -106,7 +90,9 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
             fail("locally_out_transitive", v)
         if not _is_tournament(d, ins):
             fail("locally_in_tournament", v)
-        if not (_is_tournament(d, outs) and _is_acyclic(d, ins)):
+        if not (
+            _is_tournament(d, outs) and is_acyclic(d.out_masks, d.in_masks[v])
+        ):
             fail("in_round_condition", v)
         if not (
             _is_transitive_tournament(d, outs) and _is_transitive_tournament(d, ins)
@@ -202,7 +188,7 @@ def inround_order(d: Digraph) -> InRoundResult:
     for v in range(d.n):
         if not _is_tournament(d, d.out_sets[v]):
             return InRoundResult(failing_vertex=v, failing_condition="out-not-tournament")
-        if not _is_acyclic(d, d.in_sets[v]):
+        if not is_acyclic(d.out_masks, d.in_masks[v]):
             return InRoundResult(failing_vertex=v, failing_condition="in-not-acyclic")
     f = [0] * d.n
     for x in range(d.n):
@@ -538,7 +524,7 @@ def _round_order(q: Digraph) -> CyclicOrder:
         if res.ok and satisfies_round(q, res.order.order):
             return res.order
         raise InvalidInput("quotient of weak hubs is not round")
-    if not _is_acyclic(q, range(q.n)):
+    if not is_acyclic(q.out_masks, (1 << q.n) - 1):
         raise InvalidInput("quotient neither strong nor acyclic")
     order: list[int] = []
     indeg = [q.d_minus(v) for v in range(q.n)]

@@ -194,3 +194,46 @@ def test_failed_self_check_is_json_error(files, capsys, monkeypatch):
     code = main(["chi", files["c3"]])
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and err["error"]["type"] == "SelfCheckFailed"
+
+
+@pytest.mark.parametrize(
+    "children, error",
+    [
+        ("[[1,", "UsageError"),
+        ("5", "InvalidInput"),
+        ("[[5],[],[]]", "InvalidInput"),
+        ("[[1],[0],[]]", "InvalidInput"),
+        ("[[1,2],[2],[]]", "InvalidInput"),
+    ],
+)
+def test_gen_wheel_malformed_children_is_json_error(children, error, capsys):
+    code = main(["gen", "wheel", "--children", children])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and err["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "module, callee, argv",
+    [
+        ("heroes", "contains_induced", ["free", "k4", "--pattern-name", "c3_to_k1"]),
+        ("heroes", "contains_induced", ["gen", "herofree", "--k", "2", "--verify"]),
+        ("defective", "exact_defective_index", ["defective", "sh4", "--d", "1", "--exact"]),
+    ],
+)
+def test_unset_budget_keeps_library_default(files, monkeypatch, module, callee, argv):
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(f"dichroma.{module}")
+    original = getattr(mod, callee)
+    default = inspect.signature(original).parameters["budget"].default
+    received = []
+
+    def spy(*args, budget=default):
+        received.append(budget)
+        return original(*args, budget=budget)
+
+    monkeypatch.setattr(mod, callee, spy)
+    monkeypatch.delenv("DICHROMA_BUDGET", raising=False)
+    run_command([files.get(a, a) for a in argv])
+    assert default is not None and received and set(received) == {default}

@@ -1,0 +1,90 @@
+"""The traversal primitives of dichroma.core against networkx."""
+
+from __future__ import annotations
+
+import networkx as nx
+from hypothesis import given, strategies as st
+
+from dichroma.core import (
+    Digraph,
+    Multigraph,
+    bfs_path,
+    bits,
+    bridges,
+    components,
+    is_acyclic,
+    mask_of,
+    reach,
+)
+
+from strategies import digraphs, multigraphs
+
+
+def _underlying(d: Digraph) -> Multigraph:
+    """One edge per arc, so a digon becomes a doubled edge."""
+    return Multigraph(d.n, tuple((min(a), max(a)) for a in sorted(d.arcs)))
+
+
+@given(digraphs(max_n=12), st.data())
+def test_components_after_deletions_and_drops(d, data):
+    gone = data.draw(st.sets(st.integers(0, d.n - 1)))
+    drop = data.draw(st.sets(st.sampled_from(sorted(d.arcs)))) if d.arcs else set()
+    keep = [v for v in range(d.n) if v not in gone]
+    left = [(p, q) for p, q in d.arcs - drop if p in keep and q in keep]
+    adj = [0] * d.n
+    for p, q in d.arcs - drop:
+        adj[p] |= 1 << q
+        adj[q] |= 1 << p
+    g = nx.Graph()
+    g.add_nodes_from(keep)
+    g.add_edges_from(left)
+    expected = sorted(sorted(c) for c in nx.connected_components(g))
+    assert [bits(c) for c in components(adj, mask_of(keep))] == expected
+
+
+@given(digraphs(max_n=12), st.data())
+def test_reach_follows_arcs_inside_a_vertex_subset(d, data):
+    within = data.draw(st.sets(st.integers(0, d.n - 1)))
+    sources = data.draw(st.sets(st.integers(0, d.n - 1)))
+    sub = nx.DiGraph()
+    sub.add_nodes_from(within)
+    sub.add_edges_from((p, q) for p, q in d.arcs if p in within and q in within)
+    expected = set(sources & within)
+    for s in sources & within:
+        expected |= nx.descendants(sub, s)
+    assert bits(reach(d.out_masks, mask_of(within), mask_of(sources))) == sorted(expected)
+
+
+@given(st.one_of(multigraphs(min_n=2, max_n=12, max_m=24), digraphs(max_n=12).map(_underlying)))
+def test_bridges_leave_out_parallel_edges(g):
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    found = bridges(g)
+    assert len(found) == len(set(found))
+    assert {frozenset(g.edges[i]) for i in found} == {frozenset(e) for e in nx.bridges(nxg)}
+
+
+@given(digraphs(max_n=12), st.data())
+def test_is_acyclic_on_vertex_subsets(d, data):
+    s = data.draw(st.sets(st.integers(0, d.n - 1)))
+    sub = nx.DiGraph()
+    sub.add_nodes_from(s)
+    sub.add_edges_from((p, q) for p, q in d.arcs if p in s and q in s)
+    assert is_acyclic(d.out_masks, mask_of(s)) == nx.is_directed_acyclic_graph(sub)
+
+
+@given(digraphs(max_n=12), st.data())
+def test_bfs_path_is_a_shortest_path(d, data):
+    within = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+    a, b = data.draw(st.sampled_from(sorted(within))), data.draw(st.sampled_from(sorted(within)))
+    sub = nx.DiGraph()
+    sub.add_nodes_from(within)
+    sub.add_edges_from((p, q) for p, q in d.arcs if p in within and q in within)
+    path = bfs_path(d.out_masks, mask_of(within), a, b)
+    if not nx.has_path(sub, a, b):
+        assert path is None
+        return
+    assert path[0] == a and path[-1] == b and set(path) <= within
+    assert all(sub.has_edge(p, q) for p, q in zip(path, path[1:]))
+    assert len(path) - 1 == nx.shortest_path_length(sub, a, b)
