@@ -44,11 +44,8 @@ def parse_digraph_file(text: str) -> Digraph:
     kind, n = header
     if kind != "digraph":
         raise FileSyntaxError(f"expected 'digraph' header, got {kind!r}", 1)
-    arcs = []
-    for line_no, (u, v) in rows:
-        arcs.append((u, v))
     try:
-        return build_digraph(n, arcs)
+        return build_digraph(n, [e for _, e in rows])
     except (LoopArc, DuplicateArc) as exc:
         offender = _find_offender(rows)
         raise FileSemanticError(str(exc), offender) from exc
@@ -117,20 +114,12 @@ def format_multigraph(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _load(path: str):
+def _load_graph(path: str):
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str):
-    text = _load(path)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -165,334 +154,229 @@ def _self_check(ok: bool, claim: str) -> None:
         raise SelfCheckFailed(f"re-check failed: {claim}")
 
 
-def _need_digraph(g, path):
-    if not isinstance(g, Digraph):
-        raise UsageError(f"{path} is not a digraph file")
+def _need(g, kind, path: str):
+    """g, if it is an instance of kind (a graph class or a tuple of them)."""
+    if not isinstance(g, kind):
+        raise UsageError(f"{path} is not a {kind.__name__.lower()} file")
     return g
 
 
-def _need_multigraph(g, path):
-    if not isinstance(g, Multigraph):
-        raise UsageError(f"{path} is not a multigraph file")
-    return g
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dichroma", description=__doc__)
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled bounds")
-    p.add_argument("--json", action="store_true", help="machine output (always on)")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("chi", help="exact dichromatic number")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("verify", help="verify a dicolouring or edge colouring")
-    sp.add_argument("file")
-    sp.add_argument("--colours", required=True, help="comma list, one per vertex/edge")
-    sp.add_argument("--d", type=int, default=None, help="defect (multigraph files)")
-
-    sp = sub.add_parser("brooks", help="tight-case classification and colouring")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("lambda", help="local arc-connectivity profile")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("extremal", help="recognize chi = lambda + 1 = k + 1")
-    sp.add_argument("file")
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = sub.add_parser("gen", help="emit a generated graph")
-    sp.add_argument("name", choices=["fk", "ds", "c122", "herofree", "wheel", "shannon"])
-    sp.add_argument("--l", type=int, default=3)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--s", type=int, default=5)
-    sp.add_argument("--children", default=None, help="JSON children lists for wheel")
-    sp.add_argument("--verify", action="store_true", help="re-check the claims")
-
-    sp = sub.add_parser("free", help="is the host free of an induced pattern?")
-    sp.add_argument("file")
-    sp.add_argument("--pattern", default=None, help="pattern digraph file")
-    sp.add_argument("--pattern-name", default=None, help=f"one of {sorted(hero_mod.PATTERNS)}")
-
-    sp = sub.add_parser("round", help="in-round cyclic order or refutation")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("hubs", help="maximal-hub decomposition")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("dicolour2", help="2-dicolouring with a monochromatic tournament")
-    sp.add_argument("file")
-    sp.add_argument("--tt", default="", help="comma list of prescribed vertices")
-
-    sp = sub.add_parser("structure", help="locally semicomplete three-case structure")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("king", help="least 2-king")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("defective", help="defective edge colouring")
-    sp.add_argument("file")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--simple", action="store_true", help="use the simple-graph route")
-
-    sp = sub.add_parser("gadget", help="hardness gadgets")
-    sp.add_argument("kind", choices=["deltamin", "defective"])
-    sp.add_argument("file")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d", type=int, default=3)
-    return p
-
-
-def run_command(argv: list[str]) -> tuple[dict, int]:
-    """Execute a command line; returns (report, exit code)."""
-    parser = build_parser()
+def _chi(ns, d) -> tuple[dict, int]:
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        raise UsageError("bad usage") from exc
-    if ns.budget is None:
-        env = os.environ.get("DICHROMA_BUDGET")
-        ns.budget = int(env) if env else None
-    t0 = time.monotonic()
-    report, code = _dispatch(ns)
-    report["command"] = ns.command
-    report["wall_ms"] = round((time.monotonic() - t0) * 1000, 3)
-    return report, code
+        res = col_mod.exact_dichromatic(d, **_budget(ns))
+    except col_mod.BudgetExceeded as exc:
+        return {"bounds": [exc.lower, exc.upper]}, 0
+    _self_check(col_mod.verify_dicolouring(d, res.colouring).valid, "dicolouring")
+    return (
+        {
+            "chi": res.value,
+            "colouring": list(res.colouring.colours),
+        },
+        0,
+    )
 
 
-def _dispatch(ns) -> tuple[dict, int]:
-    cmd = ns.command
-    if cmd == "chi":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        try:
-            res = col_mod.exact_dichromatic(d, **_budget(ns))
-        except col_mod.BudgetExceeded as exc:
-            return {"digest": _digest(text), "bounds": [exc.lower, exc.upper]}, 0
-        _self_check(col_mod.verify_dicolouring(d, res.colouring).valid, "dicolouring")
-        return (
-            {
-                "digest": _digest(text),
-                "chi": res.value,
-                "colouring": list(res.colouring.colours),
-            },
-            0,
+def _verify(ns, g) -> tuple[dict, int]:
+    cols = _int_list(ns.colours, "--colours")
+    if isinstance(g, Multigraph):
+        if ns.d is None:
+            raise UsageError("--d is required for multigraph files")
+        res = def_mod.verify_edge_colouring(
+            g, def_mod.EdgeColouring(tuple(cols), max(cols, default=0)), ns.d
         )
-    if cmd == "verify":
-        g, text = _load_graph(ns.file)
-        cols = _int_list(ns.colours, "--colours")
-        if isinstance(g, Multigraph):
-            if ns.d is None:
-                raise UsageError("--d is required for multigraph files")
-            res = def_mod.verify_edge_colouring(
-                g, def_mod.EdgeColouring(tuple(cols), max(cols, default=0)), ns.d
-            )
-            rep = {"digest": _digest(text), "valid": res.valid}
-            if not res.valid:
-                rep["witness"] = {
-                    "vertex": res.vertex,
-                    "colour": res.colour,
-                    "count": res.count,
-                }
-            return rep, 0
-        res = col_mod.verify_dicolouring(g, col_mod.dicolouring(cols))
-        rep = {"digest": _digest(text), "valid": res.valid}
+        rep = {"valid": res.valid}
         if not res.valid:
             rep["witness"] = {
-                "cycle": list(res.witness_cycle),
-                "colour": res.witness_colour,
+                "vertex": res.vertex,
+                "colour": res.colour,
+                "count": res.count,
             }
         return rep, 0
-    if cmd == "brooks":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        verdict = brooks_mod.classify_brooks(d)
-        colouring = brooks_mod.brooks_colour(d)
-        _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
-        return (
-            {
-                "digest": _digest(text),
-                "delta_max": verdict.delta_max,
-                "tight": verdict.tight,
-                "components": [
-                    {
-                        "vertices": sorted(c.vertices),
-                        "delta_max": c.delta_max,
-                        "exception": c.exception,
-                    }
-                    for c in verdict.components
-                ],
-                "colouring": list(colouring.colours),
-                "colours_used": colouring.k,
-            },
-            0,
-        )
-    if cmd == "lambda":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        prof = ext_mod.lambda_profile(d)
-        pair = prof.argmax()
-        rep = {"digest": _digest(text), "lambda": prof.value}
-        if pair is not None:
-            x, rest = prof.cuts[pair]
-            crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
-            _self_check(crossing == prof.values[pair], "dicut size equals lambda")
-            rep["argmax"] = list(pair)
-            rep["dicut_side"] = sorted(x)
-        return rep, 0
-    if cmd == "extremal":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        res = ext_mod.recognize_k_extremal(d, ns.k, **_budget(ns))
-        rep: dict = {"digest": _digest(text), "extremal": res.extremal, "k": ns.k}
-        if res.certificate is not None:
-            _self_check(res.certificate.replay_arcs() == d.arcs, "certificate replays the input")
-            rep["certificate"] = ext_mod.certificate_to_dict(res.certificate)
-        if res.reason:
-            rep["reason"] = res.reason
-        return rep, 0 if res.extremal else 1
-    if cmd == "gen":
-        return _gen(ns)
-    if cmd == "free":
-        host, text = _load_graph(ns.file)
-        d = _need_digraph(host, ns.file)
-        if ns.pattern_name:
-            pat = hero_mod.pattern(ns.pattern_name)
-        elif ns.pattern:
-            pg, _ = _load_graph(ns.pattern)
-            pat = _need_digraph(pg, ns.pattern)
-        else:
-            raise UsageError("need --pattern FILE or --pattern-name NAME")
-        emb = hero_mod.contains_induced(d, pat, **_budget(ns))
-        rep = {"digest": _digest(text), "free": emb is None}
-        if emb is not None:
-            _self_check(emb.verify(d, pat), "induced embedding")
-            rep["embedding"] = list(emb.mapping)
-        return rep, 0 if emb is None else 1
-    if cmd == "round":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        flags = loc_mod.check_local_class(d)
-        res = loc_mod.inround_order(d)
-        rep = {
-            "digest": _digest(text),
-            "in_round": res.ok,
-            "flags": {
-                "locally_out_transitive": flags.locally_out_transitive,
-                "locally_semicomplete": flags.locally_semicomplete,
-                "in_round_condition": flags.in_round_condition,
-                "round_condition": flags.round_condition,
-            },
+    res = col_mod.verify_dicolouring(g, col_mod.dicolouring(cols))
+    rep = {"valid": res.valid}
+    if not res.valid:
+        rep["witness"] = {
+            "cycle": list(res.witness_cycle),
+            "colour": res.witness_colour,
         }
-        if res.ok:
-            _self_check(loc_mod.satisfies_in_round(d, res.order.order), "in-round order")
-            rep["order"] = list(res.order.order)
-        else:
-            rep["refutation"] = {
-                "vertex": res.failing_vertex,
-                "condition": res.failing_condition,
-            }
-        return rep, 0
-    if cmd == "hubs":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        hp = loc_mod.hub_decomposition(d)
-        return (
-            {
-                "digest": _digest(text),
-                "hubs": [sorted(p) for p in hp.parts],
-                "quotient_arcs": [list(a) for a in hp.quotient.sorted_arcs()],
-                "order": list(hp.order.order),
-            },
-            0,
-        )
-    if cmd == "dicolour2":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        tt = _int_list(ns.tt, "--tt")
-        colouring = loc_mod.two_dicolour_lot(d, tt)
-        _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
-        _self_check(len({colouring.colours[v] for v in tt}) <= 1, "--tt is monochromatic")
-        return (
-            {
-                "digest": _digest(text),
-                "colouring": list(colouring.colours),
-                "monochromatic": sorted(tt),
-            },
-            0,
-        )
-    if cmd == "structure":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        st = loc_mod.semicomplete_structure(d)
-        rep = {"digest": _digest(text), "case": st.case}
-        if st.case == "UniversalVertex":
-            rep["vertex"] = st.universal_vertex
-        elif st.case == "RoundBlowup":
-            rep["parts"] = [sorted(p) for p in st.parts]
-            rep["order"] = list(st.order.order)
-        else:
-            rep["sets"] = {
-                "e": sorted(st.e),
-                "f": sorted(st.f),
-                "g": sorted(st.g),
-                "h": sorted(st.h),
-            }
-            rep["notes"] = list(st.notes)
-        return rep, 0
-    if cmd == "king":
-        g, text = _load_graph(ns.file)
-        d = _need_digraph(g, ns.file)
-        king = loc_mod.find_2king(d)
-        return {"digest": _digest(text), "king": king}, 0
-    if cmd == "defective":
-        g, text = _load_graph(ns.file)
-        mg = _need_multigraph(g, ns.file)
-        if ns.exact:
-            value, colouring = def_mod.exact_defective_index(mg, ns.d, **_budget(ns))
-        else:
-            colouring = def_mod.defective_colour(mg, ns.d, simple_hint=ns.simple)
-            value = colouring.k
-        _self_check(def_mod.verify_edge_colouring(mg, colouring, ns.d).valid, "edge colouring")
-        return (
-            {
-                "digest": _digest(text),
-                "colours": value,
-                "exact": bool(ns.exact),
-                "colouring": list(colouring.colours),
-            },
-            0,
-        )
-    if cmd == "gadget":
-        g, text = _load_graph(ns.file)
-        if ns.kind == "deltamin":
-            d = _need_digraph(g, ns.file)
-            out = brooks_mod.deltamin_gadget(d, ns.k)
-            return (
+    return rep, 0
+
+
+def _brooks(ns, d) -> tuple[dict, int]:
+    verdict = brooks_mod.classify_brooks(d)
+    colouring = brooks_mod.brooks_colour(d)
+    _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
+    return (
+        {
+            "delta_max": verdict.delta_max,
+            "tight": verdict.tight,
+            "components": [
                 {
-                    "digest": _digest(text),
-                    "n": out.n,
-                    "graph": format_digraph(out),
-                },
-                0,
-            )
-        mg = _need_multigraph(g, ns.file)
-        gad = def_mod.np_gadget_defective(mg, ns.k, ns.d)
+                    "vertices": sorted(c.vertices),
+                    "delta_max": c.delta_max,
+                    "exception": c.exception,
+                }
+                for c in verdict.components
+            ],
+            "colouring": list(colouring.colours),
+            "colours_used": colouring.k,
+        },
+        0,
+    )
+
+
+def _lambda(ns, d) -> tuple[dict, int]:
+    prof = ext_mod.lambda_profile(d)
+    pair = prof.argmax()
+    rep = {"lambda": prof.value}
+    if pair is not None:
+        x, rest = prof.cuts[pair]
+        crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
+        _self_check(crossing == prof.values[pair], "dicut size equals lambda")
+        rep["argmax"] = list(pair)
+        rep["dicut_side"] = sorted(x)
+    return rep, 0
+
+
+def _extremal(ns, d) -> tuple[dict, int]:
+    res = ext_mod.recognize_k_extremal(d, ns.k, **_budget(ns))
+    rep: dict = {"extremal": res.extremal, "k": ns.k}
+    if res.certificate is not None:
+        _self_check(res.certificate.replay_arcs() == d.arcs, "certificate replays the input")
+        rep["certificate"] = ext_mod.certificate_to_dict(res.certificate)
+    if res.reason:
+        rep["reason"] = res.reason
+    return rep, 0 if res.extremal else 1
+
+
+def _free(ns, d) -> tuple[dict, int]:
+    if ns.pattern_name:
+        pat = hero_mod.pattern(ns.pattern_name)
+    elif ns.pattern:
+        pg, _ = _load_graph(ns.pattern)
+        pat = _need(pg, Digraph, ns.pattern)
+    else:
+        raise UsageError("need --pattern FILE or --pattern-name NAME")
+    emb = hero_mod.contains_induced(d, pat, **_budget(ns))
+    rep = {"free": emb is None}
+    if emb is not None:
+        _self_check(emb.verify(d, pat), "induced embedding")
+        rep["embedding"] = list(emb.mapping)
+    return rep, 0 if emb is None else 1
+
+
+def _round(ns, d) -> tuple[dict, int]:
+    flags = loc_mod.check_local_class(d)
+    res = loc_mod.inround_order(d)
+    rep = {
+        "in_round": res.ok,
+        "flags": {
+            "locally_out_transitive": flags.locally_out_transitive,
+            "locally_semicomplete": flags.locally_semicomplete,
+            "in_round_condition": flags.in_round_condition,
+            "round_condition": flags.round_condition,
+        },
+    }
+    if res.ok:
+        _self_check(loc_mod.satisfies_in_round(d, res.order.order), "in-round order")
+        rep["order"] = list(res.order.order)
+    else:
+        rep["refutation"] = {
+            "vertex": res.failing_vertex,
+            "condition": res.failing_condition,
+        }
+    return rep, 0
+
+
+def _hubs(ns, d) -> tuple[dict, int]:
+    hp = loc_mod.hub_decomposition(d)
+    return (
+        {
+            "hubs": [sorted(p) for p in hp.parts],
+            "quotient_arcs": [list(a) for a in hp.quotient.sorted_arcs()],
+            "order": list(hp.order.order),
+        },
+        0,
+    )
+
+
+def _dicolour2(ns, d) -> tuple[dict, int]:
+    tt = _int_list(ns.tt, "--tt")
+    colouring = loc_mod.two_dicolour_lot(d, tt)
+    _self_check(col_mod.verify_dicolouring(d, colouring).valid, "dicolouring")
+    _self_check(len({colouring.colours[v] for v in tt}) <= 1, "--tt is monochromatic")
+    return (
+        {
+            "colouring": list(colouring.colours),
+            "monochromatic": sorted(tt),
+        },
+        0,
+    )
+
+
+def _structure(ns, d) -> tuple[dict, int]:
+    st = loc_mod.semicomplete_structure(d)
+    rep = {"case": st.case}
+    if st.case == "UniversalVertex":
+        rep["vertex"] = st.universal_vertex
+    elif st.case == "RoundBlowup":
+        rep["parts"] = [sorted(p) for p in st.parts]
+        rep["order"] = list(st.order.order)
+    else:
+        rep["sets"] = {
+            "e": sorted(st.e),
+            "f": sorted(st.f),
+            "g": sorted(st.g),
+            "h": sorted(st.h),
+        }
+        rep["notes"] = list(st.notes)
+    return rep, 0
+
+
+def _king(ns, d) -> tuple[dict, int]:
+    king = loc_mod.find_2king(d)
+    return {"king": king}, 0
+
+
+def _defective(ns, mg) -> tuple[dict, int]:
+    if ns.exact:
+        value, colouring = def_mod.exact_defective_index(mg, ns.d, **_budget(ns))
+    else:
+        colouring = def_mod.defective_colour(mg, ns.d, simple_hint=ns.simple)
+        value = colouring.k
+    _self_check(def_mod.verify_edge_colouring(mg, colouring, ns.d).valid, "edge colouring")
+    return (
+        {
+            "colours": value,
+            "exact": bool(ns.exact),
+            "colouring": list(colouring.colours),
+        },
+        0,
+    )
+
+
+def _gadget(ns, g) -> tuple[dict, int]:
+    if ns.kind == "deltamin":
+        out = brooks_mod.deltamin_gadget(g, ns.k)
         return (
             {
-                "digest": _digest(text),
-                "n": gad.graph.n,
-                "edges": gad.graph.m(),
-                "graph": format_multigraph(gad.graph),
+                "n": out.n,
+                "graph": format_digraph(out),
             },
             0,
         )
-    raise UsageError(f"unknown command {cmd!r}")
+    gad = def_mod.np_gadget_defective(g, ns.k, ns.d)
+    return (
+        {
+            "n": gad.graph.n,
+            "edges": gad.graph.m(),
+            "graph": format_multigraph(gad.graph),
+        },
+        0,
+    )
 
 
-def _gen(ns) -> tuple[dict, int]:
+def _gen(ns, _) -> tuple[dict, int]:
     name = ns.name
     if name == "shannon":
         g = shannon_multigraph(ns.k)
@@ -512,10 +396,8 @@ def _gen(ns) -> tuple[dict, int]:
         gen = hero_mod.gen_ds(ns.s)
     elif name == "c122":
         gen = hero_mod.gen_chordal_c122(ns.k)
-    elif name == "herofree":
-        gen = hero_mod.gen_chordal_hero_free(ns.k)
     else:
-        raise UsageError(f"unknown generator {name!r}")
+        gen = hero_mod.gen_chordal_hero_free(ns.k)
     rep = {
         "graph": format_digraph(gen.digraph),
         "n": gen.digraph.n,
@@ -528,18 +410,99 @@ def _gen(ns) -> tuple[dict, int]:
     return rep, 0
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The command table: each subcommand with its handler, called as
+    handler(ns, graph) -> (report, exit code), and the graph class its
+    file must parse to (None for no file; for gadget, a dict keyed by the
+    kind positional)."""
+    p = argparse.ArgumentParser(prog="dichroma", description=__doc__)
+    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled bounds")
+    p.add_argument("--json", action="store_true", help="machine output (always on)")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, reads, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, reads=reads)
+        if reads is not None and not isinstance(reads, dict):
+            sp.add_argument("file")
+        return sp
+
+    command("chi", _chi, Digraph, "exact dichromatic number")
+
+    sp = command("verify", _verify, (Digraph, Multigraph), "verify a dicolouring or edge colouring")
+    sp.add_argument("--colours", required=True, help="comma list, one per vertex/edge")
+    sp.add_argument("--d", type=int, default=None, help="defect (multigraph files)")
+
+    command("brooks", _brooks, Digraph, "tight-case classification and colouring")
+    command("lambda", _lambda, Digraph, "local arc-connectivity profile")
+
+    sp = command("extremal", _extremal, Digraph, "recognize chi = lambda + 1 = k + 1")
+    sp.add_argument("--k", type=int, required=True)
+
+    sp = command("gen", _gen, None, "emit a generated graph")
+    sp.add_argument("name", choices=["fk", "ds", "c122", "herofree", "wheel", "shannon"])
+    sp.add_argument("--l", type=int, default=3)
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--s", type=int, default=5)
+    sp.add_argument("--children", default=None, help="JSON children lists for wheel")
+    sp.add_argument("--verify", action="store_true", help="re-check the claims")
+
+    sp = command("free", _free, Digraph, "is the host free of an induced pattern?")
+    sp.add_argument("--pattern", default=None, help="pattern digraph file")
+    sp.add_argument("--pattern-name", default=None, help=f"one of {sorted(hero_mod.PATTERNS)}")
+
+    command("round", _round, Digraph, "in-round cyclic order or refutation")
+    command("hubs", _hubs, Digraph, "maximal-hub decomposition")
+
+    sp = command("dicolour2", _dicolour2, Digraph, "2-dicolouring with a monochromatic tournament")
+    sp.add_argument("--tt", default="", help="comma list of prescribed vertices")
+
+    command("structure", _structure, Digraph, "locally semicomplete three-case structure")
+    command("king", _king, Digraph, "least 2-king")
+
+    sp = command("defective", _defective, Multigraph, "defective edge colouring")
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--exact", action="store_true")
+    sp.add_argument("--simple", action="store_true", help="use the simple-graph route")
+
+    sp = command("gadget", _gadget, {"deltamin": Digraph, "defective": Multigraph},
+                 "hardness gadgets")
+    sp.add_argument("kind", choices=["deltamin", "defective"])
+    sp.add_argument("file")
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--d", type=int, default=3)
+    return p
+
+
+def run_command(argv: list[str]) -> tuple[dict, int]:
+    """Execute a command line; returns (report, exit code)."""
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        raise UsageError("bad usage") from exc
+    if ns.budget is None:
+        env = os.environ.get("DICHROMA_BUDGET")
+        ns.budget = int(env) if env else None
+    t0 = time.monotonic()
+    reads = ns.reads[ns.kind] if isinstance(ns.reads, dict) else ns.reads
+    if reads is None:
+        report, code = ns.handler(ns, None)
+    else:
+        g, text = _load_graph(ns.file)
+        report, code = ns.handler(ns, _need(g, reads, ns.file))
+        report["digest"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    report["command"] = ns.command
+    report["wall_ms"] = round((time.monotonic() - t0) * 1000, 3)
+    return report, code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         report, code = run_command(argv)
     except DichromaError as exc:
-        print(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                sort_keys=True,
-            )
-        )
-        return 2
+        report, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
     print(json.dumps(report, sort_keys=True))
     return code
 

@@ -234,55 +234,9 @@ def _two_colour_component(d: Digraph, comp: list[int]):
     """Bipartition of one strong component, or an odd dicycle (tuple)."""
     inside = set(comp)
     side: dict[int, int] = {}
-    from collections import deque
-
-    for root in comp:
-        if root in side:
-            continue
-        side[root] = 1
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for w in sorted(d.und_sets[v] & inside):
-                if w not in side:
-                    side[w] = 3 - side[v]
-                    q.append(w)
-                elif side[w] == side[v]:
-                    cyc = _odd_dicycle_from_conflict(d, inside, v, w)
-                    return tuple(cyc)
-    return side
-
-
-def _odd_dicycle_from_conflict(d: Digraph, inside: set[int], v: int, w: int) -> list[int]:
-    """An odd dicycle inside a strong set with an odd underlying closed walk.
-
-    Walks an odd closed trail built from shortest dipaths between the
-    vertices of an odd underlying cycle, then pops the first odd dicycle
-    out of the trail.
-    """
-    und_cycle = _underlying_odd_cycle(d, inside)
-    trail: list[int] = []
-    for i, a in enumerate(und_cycle):
-        b = und_cycle[(i + 1) % len(und_cycle)]
-        if (a, b) in d.arcs:
-            seg = [a, b]
-        else:
-            seg = bfs_path(d.out_masks, mask_of(inside), a, b)
-            # an even-length dipath plus the reverse arc closes an odd
-            # dicycle directly
-            if len(seg) % 2 == 1:
-                return seg
-        trail.extend(seg[:-1])
-    return _odd_cycle_from_trail(trail)
-
-
-def _underlying_odd_cycle(d: Digraph, inside: set[int]) -> list[int]:
-    """Some odd cycle of the underlying graph of d[inside]."""
-    from collections import deque
-
-    comp = sorted(inside)
-    side: dict[int, int] = {}
     parent: dict[int, int | None] = {}
+    from collections import deque
+
     for root in comp:
         if root in side:
             continue
@@ -302,10 +256,33 @@ def _underlying_odd_cycle(d: Digraph, inside: set[int]) -> list[int]:
                     common = (set(pv) & set(pw))
                     # lowest common ancestor = first shared vertex
                     lca = next(x for x in pv if x in common)
-                    cyc = pv[: pv.index(lca) + 1]
-                    cyc += list(reversed(pw[: pw.index(lca)]))
-                    return cyc
-    raise InvalidInput("no odd underlying cycle found")
+                    und_cycle = pv[: pv.index(lca) + 1]
+                    und_cycle += list(reversed(pw[: pw.index(lca)]))
+                    return tuple(_odd_dicycle_from_conflict(d, inside, und_cycle))
+    return side
+
+
+def _odd_dicycle_from_conflict(d: Digraph, inside: set[int], und_cycle: list[int]) -> list[int]:
+    """An odd dicycle inside a strong set, from an odd cycle of its
+    underlying graph.
+
+    Walks an odd closed trail built from shortest dipaths between the
+    vertices of the underlying cycle, then pops the first odd dicycle
+    out of the trail.
+    """
+    trail: list[int] = []
+    for i, a in enumerate(und_cycle):
+        b = und_cycle[(i + 1) % len(und_cycle)]
+        if (a, b) in d.arcs:
+            seg = [a, b]
+        else:
+            seg = bfs_path(d.out_masks, mask_of(inside), a, b)
+            # an even-length dipath plus the reverse arc closes an odd
+            # dicycle directly
+            if len(seg) % 2 == 1:
+                return seg
+        trail.extend(seg[:-1])
+    return _odd_cycle_from_trail(trail)
 
 
 def _path_to_root(parent: dict[int, int | None], v: int) -> list[int]:

@@ -153,6 +153,10 @@ class Multigraph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        edges = tuple((u, v) if u < v else (v, u) for u, v in self.edges)
+        object.__setattr__(self, "edges", edges)
+
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex: (neighbour, edge index) pairs in edge order."""
@@ -233,15 +237,14 @@ def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
 
 
 def build_multigraph(n: int, edges: Iterable[tuple[int, int]]) -> Multigraph:
-    norm: list[tuple[int, int]] = []
+    edges = tuple(edges)
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRange(f"edge {e} outside 0..{n - 1}")
         if u == v:
             raise LoopArc(f"loop at vertex {u}")
-        norm.append((u, v) if u < v else (v, u))
-    return Multigraph(n, tuple(norm))
+    return Multigraph(n, edges)
 
 
 def partition(n: int, parts: Iterable[Iterable[int]]) -> VertexSetPartition:

@@ -416,10 +416,10 @@ def _colour_even_route(g: Multigraph, d: int) -> list[int]:
     c += 1
     for i in remaining:
         colour_big[i] = c
-    return _restrict_colours(g, big, origin, colour_big)
+    return _restrict_colours(g, origin, colour_big)
 
 
-def _restrict_colours(g: Multigraph, big: Multigraph, origin, colour_big) -> list[int]:
+def _restrict_colours(g: Multigraph, origin, colour_big) -> list[int]:
     out = [0] * g.m()
     for j, src in enumerate(origin):
         if src is not None:
@@ -439,7 +439,7 @@ def _colour_odd_route(g: Multigraph, d: int) -> list[int]:
     dstar = _special_delta(k, d)
     big, origin = _pad_regular(g, dstar)
     colour_big = _colour_regular_odd(big, d, k, depth=0)
-    return _restrict_colours(g, big, origin, colour_big)
+    return _restrict_colours(g, origin, colour_big)
 
 
 def _colour_regular_odd(g: Multigraph, d: int, k: int, depth: int) -> list[int]:
@@ -463,7 +463,7 @@ def _colour_regular_odd(g: Multigraph, d: int, k: int, depth: int) -> list[int]:
             raise FallbackToExact("no 2d-factor")
         if isinstance(fac, _SurgeryColours):
             return fac.colours
-        return _three_colour_with_factor(g, fac, d)
+        return _three_colour_with_factor(g, fac)
     if k == 4:
         fac = _factor_with_surgery(g, 2 * d, d, k, depth)
         if fac is None:
@@ -510,7 +510,7 @@ def _split_factor_components(g: Multigraph, fac: list[int]):
     return a, b, spares
 
 
-def _three_colour_with_factor(g: Multigraph, fac: list[int], d: int) -> list[int]:
+def _three_colour_with_factor(g: Multigraph, fac: list[int]) -> list[int]:
     a, b, spares = _split_factor_components(g, fac)
     out = [3] * g.m()
     for i in a:
@@ -557,7 +557,8 @@ def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
         degs = {piece.degree(v) for v in range(piece.n)}
         if degs == {2 * d} and piece.m() % 2 == 0:
             pa, pb, spare = _euler_halves(piece)
-            assert spare is None
+            if spare is not None:
+                raise FallbackToExact("Euler split of an even component left a spare edge")
             for i in pa:
                 out[edge_ids[i]] = 1
             for i in pb:
@@ -575,7 +576,8 @@ def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
                 origin.append(-1)
         dbl = build_multigraph(2 * piece.n, dbl_edges)
         pa, pb, spare = _euler_halves(dbl)
-        assert spare is None
+        if spare is not None:
+            raise FallbackToExact("Euler split of a doubled component left a spare edge")
         half = [0] * dbl.m()
         for i in pa:
             half[i] = 1
@@ -651,9 +653,8 @@ def _edge_surgery_factor(g: Multigraph, cut, phi: int) -> list[int] | None:
             if uy is None:
                 continue
             edges2 = [e for i, e in enumerate(g.edges) if i not in (uy, vw)]
-            edges2.append((min(uu, vv), max(uu, vv)))  # second bridge copy
-            yw_edge = (min(y, w), max(y, w))
-            edges2.append(yw_edge)
+            edges2.append((uu, vv))  # second bridge copy
+            edges2.append((y, w))
             g2 = build_multigraph(g.n, edges2)
             forced = [g2.m() - 1]  # the added y-w edge
             fac2 = _factor(g2, [phi] * g2.n, forced=forced)
@@ -807,7 +808,7 @@ def _parity_two_colour(g: Multigraph, d: int) -> list[int]:
             out_big[edge_ids[i]] = 1
         for i in pb:
             out_big[edge_ids[i]] = 2
-    return _restrict_colours(g, big, origin, out_big)
+    return _restrict_colours(g, origin, out_big)
 
 
 # ---------------------------------------------------------------------------

@@ -648,7 +648,7 @@ def _underlying(d: Digraph, keep: int, drop: Collection[Arc]) -> Multigraph:
     """Underlying multigraph of d on the vertex bitset keep, without the
     arcs in drop; a digon gives two parallel edges."""
     return Multigraph(d.n, tuple(
-        (p, q) if p < q else (q, p)
+        (p, q)
         for p, q in d.arcs
         if keep >> p & 1 and keep >> q & 1 and (p, q) not in drop
     ))

@@ -237,3 +237,24 @@ def test_unset_budget_keeps_library_default(files, monkeypatch, module, callee, 
     monkeypatch.delenv("DICHROMA_BUDGET", raising=False)
     run_command([files.get(a, a) for a in argv])
     assert default is not None and received and set(received) == {default}
+
+
+@pytest.mark.parametrize(
+    "argv, wrong",
+    [([cmd, "sh4"], "sh4") for cmd in
+     ["chi", "brooks", "lambda", "round", "hubs", "dicolour2", "structure", "king"]]
+    + [
+        (["extremal", "--k", "3", "sh4"], "sh4"),
+        (["free", "--pattern-name", "c3", "sh4"], "sh4"),
+        (["gadget", "deltamin", "--k", "2", "sh4"], "sh4"),
+        (["defective", "--d", "3", "c3"], "c3"),
+        (["gadget", "defective", "--k", "3", "c3"], "c3"),
+        (["free", "--pattern", "sh4", "c3"], "sh4"),
+    ],
+)
+def test_wrong_graph_kind_is_usage_error(files, capsys, argv, wrong):
+    code = main([files.get(a, a) for a in argv])
+    err = json.loads(capsys.readouterr().out)["error"]
+    kind = "multigraph" if wrong == "c3" else "digraph"
+    assert code == 2 and err == {"type": "UsageError",
+                                 "message": f"{files[wrong]} is not a {kind} file"}

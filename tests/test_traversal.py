@@ -88,3 +88,10 @@ def test_bfs_path_is_a_shortest_path(d, data):
     assert path[0] == a and path[-1] == b and set(path) <= within
     assert all(sub.has_edge(p, q) for p, q in zip(path, path[1:]))
     assert len(path) - 1 == nx.shortest_path_length(sub, a, b)
+
+
+def test_multigraph_normalises_endpoints_in_place():
+    g = Multigraph(3, ((1, 0), (0, 1), (1, 2)))
+    assert g.edges == ((0, 1), (0, 1), (1, 2))
+    assert bridges(g) == [2]
+    assert g.mu == 2 and g.multiplicity(0, 1) == 2
