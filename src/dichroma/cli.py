@@ -116,10 +116,12 @@ def format_multigraph(g: Multigraph) -> str:
 
 def _load_graph(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -416,7 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     file must parse to (None for no file; for gadget, a dict keyed by the
     kind positional)."""
     p = argparse.ArgumentParser(prog="dichroma", description=__doc__)
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="cap on search work: DFS nodes for chi, defective --exact and the chi check "
+        "of gen --verify; recognizer calls for extremal; candidate tests for free and "
+        "the pattern checks of gen --verify (unset: each search keeps its library default)",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for sampled bounds")
     p.add_argument("--json", action="store_true", help="machine output (always on)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -483,7 +490,10 @@ def run_command(argv: list[str]) -> tuple[dict, int]:
         raise UsageError("bad usage") from exc
     if ns.budget is None:
         env = os.environ.get("DICHROMA_BUDGET")
-        ns.budget = int(env) if env else None
+        try:
+            ns.budget = int(env) if env else None
+        except ValueError:
+            raise UsageError(f"DICHROMA_BUDGET must be an integer, got {env!r}") from None
     t0 = time.monotonic()
     reads = ns.reads[ns.kind] if isinstance(ns.reads, dict) else ns.reads
     if reads is None:
@@ -508,4 +518,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Digraph, bfs_path, is_acyclic, mask_of, strong_components
+from .core import Budget, Digraph, bfs_path, is_acyclic, mask_of, strong_components
 from .errors import (
     BudgetExceeded,
     InvalidInput,
@@ -399,10 +399,10 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
     bounds = [_cheap_bounds(sub) for sub, _ in comps]
     colour = [1] * d.n
     best = 1
-    state = _Budget(budget)
+    steps = Budget(budget)
     for (sub, labels), (lb, greedy) in zip(comps, bounds):
         try:
-            val, cols = _exact_component(sub, lb, greedy, state)
+            val, cols = _exact_component(sub, lb, greedy, steps)
         except BudgetExceeded as exc:
             lower = max([best, exc.lower] + [b[0] for b in bounds])
             raise BudgetExceeded(lower, max(b[1].k for b in bounds)) from None
@@ -410,19 +410,6 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
         for i, v in enumerate(labels):
             colour[v] = cols[i]
     return ExactResult(best, Dicolouring(tuple(colour), best))
-
-
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self, k: int):
-        """Count one search node; k is the value under test, so k is a lower
-        bound of the component when the budget runs out."""
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExceeded(k, None)
 
 
 def _degeneracy_order(d: Digraph) -> list[int]:
@@ -469,23 +456,25 @@ def _cheap_bounds(d: Digraph) -> tuple[int, Dicolouring]:
 
 
 def _exact_component(
-    d: Digraph, lb: int, greedy: Dicolouring, state: _Budget
+    d: Digraph, lb: int, greedy: Dicolouring, steps: Budget
 ) -> tuple[int, list[int]]:
     ub = greedy.k
     if lb >= ub:
         return ub, list(greedy.colours)
     order = list(reversed(_degeneracy_order(d)))
     for k in range(lb, ub):
-        cols = _feasible_k(d, order, k, state)
+        cols = _feasible_k(d, order, k, steps)
         if cols is not None:
             return k, cols
     return ub, list(greedy.colours)
 
 
 def _feasible_k(
-    d: Digraph, order: list[int], k: int, state: _Budget
+    d: Digraph, order: list[int], k: int, steps: Budget
 ) -> list[int] | None:
-    """Depth-first search for a k-dicolouring along a fixed vertex order."""
+    """Depth-first search for a k-dicolouring along a fixed vertex order.
+    One step per search node; k is the value under test, so every smaller
+    one was refuted and k bounds the component from below."""
     n = d.n
     out_masks = d.out_masks
     in_masks = d.in_masks
@@ -506,7 +495,7 @@ def _feasible_k(
     def dfs(i: int, used: int) -> bool:
         if i == n:
             return True
-        state.tick(k)
+        steps.tick(k)
         v = order[i]
         top = min(used + 1, k)
         inv = in_masks[v]

@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    BudgetExceeded,
     Disconnected,
     DuplicateArc,
     IndexOutOfRange,
@@ -260,6 +261,25 @@ def partition(n: int, parts: Iterable[Iterable[int]]) -> VertexSetPartition:
     if len(seen) != n:
         raise InvalidPartition("parts do not cover the vertex set")
     return VertexSetPartition(n, ps)
+
+
+class Budget:
+    """The step counter of an exponential search.
+
+    `limit` caps the steps (None: unbounded).  Each `tick` counts one step;
+    the first step past the limit raises BudgetExceeded with `message` and
+    the bounds known at that step.
+    """
+
+    def __init__(self, limit: int | None, message: str = ""):
+        self.limit = limit
+        self.message = message
+        self.steps = 0
+
+    def tick(self, lower: int = 0, upper: int | None = None) -> None:
+        self.steps += 1
+        if self.limit is not None and self.steps > self.limit:
+            raise BudgetExceeded(lower, upper, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +621,6 @@ def bfs_order(d: Digraph, root: int) -> list[int]:
         missing = next(v for v in range(d.n) if v not in seen)
         raise Disconnected(f"vertex {missing} unreachable from {root}")
     return order
-
-
-def induced_multigraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigraph, list[int], list[int]]:
-    """Induced sub-multigraph, its vertex labels, and kept edge indices."""
-    labels = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(labels)}
-    edges = []
-    kept = []
-    for i, (u, v) in enumerate(g.edges):
-        if u in pos and v in pos:
-            edges.append((pos[u], pos[v]))
-            kept.append(i)
-    return Multigraph(len(labels), tuple(edges)), labels, kept
 
 
 def multigraph_components(g: Multigraph) -> list[frozenset[int]]:

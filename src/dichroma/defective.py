@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    Budget,
     Multigraph,
     bits,
     bridges,
@@ -23,7 +24,6 @@ from .core import (
     multigraph_components,
 )
 from .errors import (
-    BudgetExceeded,
     BadParameters,
     Disconnected,
     EvenD,
@@ -136,21 +136,17 @@ def exact_defective_index(
     ub = max(greedy)
     if lb == ub:
         return ub, EdgeColouring(tuple(greedy), ub)
-    nodes = 0
+    nodes = Budget(budget, "defective index search budget")
     order = sorted(range(m), key=lambda i: (-max(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])), i))
 
     def search(k: int) -> list[int] | None:
-        nonlocal nodes
         colour = [0] * m
         counts: dict[tuple[int, int], int] = {}
 
         def dfs(i: int, used: int) -> bool:
-            nonlocal nodes
             if i == m:
                 return True
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(lb, ub, "defective index search budget")
+            nodes.tick(lb, ub)
             ei = order[i]
             u, v = g.edges[ei]
             top = min(used + 1, k)
@@ -250,14 +246,11 @@ def _factor(
         return None
     alive = [i for i in range(g.m()) if i not in set(forced)]
     stub_of: dict[tuple[int, int], int] = {}  # (edge index, endpoint) -> node
-    nodes = 0
     adj: list[list[int]] = []
 
     def new_node() -> int:
-        nonlocal nodes
         adj.append([])
-        nodes += 1
-        return nodes - 1
+        return len(adj) - 1
 
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i in alive:
@@ -279,7 +272,7 @@ def _factor(
             for s in incident[v]:
                 adj[iv].append(s)
                 adj[s].append(iv)
-    match = max_matching(nodes, adj)
+    match = max_matching(len(adj), adj)
     if any(x == -1 for x in match):
         return None
     out = list(forced)
@@ -489,29 +482,28 @@ def _colour_regular_odd(g: Multigraph, d: int, k: int, depth: int) -> list[int]:
     return out
 
 
-def _split_factor_components(g: Multigraph, fac: list[int]):
-    """Euler-split each component of the factor; returns (a, b, spares)."""
-    fsub, fmap = _sub_multigraph(g, fac)
+def _euler_split(g: Multigraph, idxs: Sequence[int]):
+    """Euler-split each component of the edges `idxs` of g, on g's own
+    labels; returns (a, b, spares) as edge indices of g, with one spare
+    edge per component of odd size."""
+    sub = Multigraph(g.n, tuple(g.edges[i] for i in idxs))
     a: list[int] = []
     b: list[int] = []
     spares: list[int] = []
-    for comp in multigraph_components(fsub):
-        edge_ids = [
-            i for i in range(fsub.m()) if fsub.edges[i][0] in comp or fsub.edges[i][1] in comp
-        ]
-        if not edge_ids:
+    for comp in multigraph_components(sub):
+        ids = [idxs[j] for j in range(sub.m()) if sub.edges[j][0] in comp]
+        if not ids:
             continue
-        piece = Multigraph(fsub.n, tuple(fsub.edges[i] for i in edge_ids))
-        pa, pb, spare = _euler_halves(piece)
-        a += [fmap[edge_ids[i]] for i in pa]
-        b += [fmap[edge_ids[i]] for i in pb]
+        pa, pb, spare = _euler_halves(Multigraph(g.n, tuple(g.edges[i] for i in ids)))
+        a += [ids[j] for j in pa]
+        b += [ids[j] for j in pb]
         if spare is not None:
-            spares.append(fmap[edge_ids[spare]])
+            spares.append(ids[spare])
     return a, b, spares
 
 
 def _three_colour_with_factor(g: Multigraph, fac: list[int]) -> list[int]:
-    a, b, spares = _split_factor_components(g, fac)
+    a, b, spares = _euler_split(g, fac)
     out = [3] * g.m()
     for i in a:
         out[i] = 1
@@ -523,7 +515,7 @@ def _three_colour_with_factor(g: Multigraph, fac: list[int]) -> list[int]:
 
 
 def _four_colour_with_factor(g: Multigraph, fac: list[int], d: int) -> list[int]:
-    a, b, spares = _split_factor_components(g, fac)
+    a, b, spares = _euler_split(g, fac)
     out = [0] * g.m()
     for i in a:
         out[i] = 1
@@ -539,54 +531,27 @@ def _four_colour_with_factor(g: Multigraph, fac: list[int], d: int) -> list[int]
 
 def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
     """2-colour a multigraph of max degree 2d whose degree-2d vertices are
-    exactly the ends of a distinguished matching: per component, either an
-    Euler split (even edges) or the two-copy doubling trick."""
-    out = [0] * g.m()
+    exactly the ends of a distinguished matching, by one Euler split per
+    component.  A 2d-regular component with an even edge count is split as
+    it is.  Any other is split together with a copy of itself on the
+    vertices v + n and 2d - deg(v) padding edges from each v to v + n."""
+    n, m = g.n, g.m()
+    edges = list(g.edges)
     for comp in multigraph_components(g):
-        edge_ids = [
-            i
-            for i in range(g.m())
-            if g.edges[i][0] in comp and g.edges[i][1] in comp
-        ]
-        if not edge_ids:
+        ids = [i for i in range(m) if g.edges[i][0] in comp]
+        if not ids or (len(ids) % 2 == 0 and all(g.degree(v) == 2 * d for v in comp)):
             continue
-        verts = sorted(comp)
-        pos = {v: i for i, v in enumerate(verts)}
-        piece_edges = [(pos[g.edges[i][0]], pos[g.edges[i][1]]) for i in edge_ids]
-        piece = Multigraph(len(verts), tuple(piece_edges))
-        degs = {piece.degree(v) for v in range(piece.n)}
-        if degs == {2 * d} and piece.m() % 2 == 0:
-            pa, pb, spare = _euler_halves(piece)
-            if spare is not None:
-                raise FallbackToExact("Euler split of an even component left a spare edge")
-            for i in pa:
-                out[edge_ids[i]] = 1
-            for i in pb:
-                out[edge_ids[i]] = 2
-            continue
-        # double the component, pad shy vertices across the copies
-        dbl_edges = list(piece.edges)
-        origin = list(range(piece.m()))
-        for u, v in piece.edges:
-            dbl_edges.append((u + piece.n, v + piece.n))
-            origin.append(-1)
-        for v in range(piece.n):
-            for _ in range(2 * d - piece.degree(v)):
-                dbl_edges.append((v, v + piece.n))
-                origin.append(-1)
-        dbl = build_multigraph(2 * piece.n, dbl_edges)
-        pa, pb, spare = _euler_halves(dbl)
-        if spare is not None:
-            raise FallbackToExact("Euler split of a doubled component left a spare edge")
-        half = [0] * dbl.m()
-        for i in pa:
-            half[i] = 1
-        for i in pb:
-            half[i] = 2
-        for j, src in enumerate(origin):
-            if src >= 0:
-                out[edge_ids[src]] = half[j]
-    return out
+        edges += [(u + n, v + n) for u, v in (g.edges[i] for i in ids)]
+        edges += [(v, v + n) for v in sorted(comp) for _ in range(2 * d - g.degree(v))]
+    a, b, spares = _euler_split(Multigraph(2 * n, tuple(edges)), range(len(edges)))
+    if spares:
+        raise FallbackToExact("Euler split of a component left a spare edge")
+    out = [0] * len(edges)
+    for i in a:
+        out[i] = 1
+    for i in b:
+        out[i] = 2
+    return out[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -787,27 +752,14 @@ def _parity_two_colour(g: Multigraph, d: int) -> list[int]:
     """2-colouring of a simple graph with delta = 2d whose 2d-regular
     components all have even order: double, split along Euler tours."""
     big, origin = _pad_regular(g, 2 * d)
+    a, b, spares = _euler_split(big, range(big.m()))
+    if spares:
+        raise FallbackToExact("odd component size in the parity route")
     out_big = [0] * big.m()
-    for comp in multigraph_components(big):
-        edge_ids = [
-            i
-            for i in range(big.m())
-            if big.edges[i][0] in comp and big.edges[i][1] in comp
-        ]
-        if not edge_ids:
-            continue
-        verts = sorted(comp)
-        pos = {v: i for i, v in enumerate(verts)}
-        piece = Multigraph(
-            len(verts), tuple((pos[big.edges[i][0]], pos[big.edges[i][1]]) for i in edge_ids)
-        )
-        if piece.m() % 2 == 1:
-            raise FallbackToExact("odd component size in the parity route")
-        pa, pb, spare = _euler_halves(piece)
-        for i in pa:
-            out_big[edge_ids[i]] = 1
-        for i in pb:
-            out_big[edge_ids[i]] = 2
+    for i in a:
+        out_big[i] = 1
+    for i in b:
+        out_big[i] = 2
     return _restrict_colours(g, origin, out_big)
 
 

@@ -17,6 +17,7 @@ from typing import Collection, Iterable, Sequence
 
 from .core import (
     Arc,
+    Budget,
     Digraph,
     Multigraph,
     bfs_path,
@@ -28,7 +29,6 @@ from .core import (
 )
 from .errors import (
     BadEmbeddingOrder,
-    BudgetExceeded,
     InvalidInput,
     MissingArc,
     MissingDigon,
@@ -553,23 +553,11 @@ def recognize_k_extremal(
             cert = CertNode(BASE_DICYCLE, d.n, {"cycle": tuple(cyc)})
             return RecognizeResult(True, cert)
         return RecognizeResult(False, reason="not a directed cycle")
-    state = _RecBudget(budget)
-    return _recognize(d, k, state)
+    return _recognize(d, k, Budget(budget, "recognition budget exceeded"))
 
 
-class _RecBudget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.calls = 0
-
-    def tick(self):
-        self.calls += 1
-        if self.limit is not None and self.calls > self.limit:
-            raise BudgetExceeded(0, None, "recognition budget exceeded")
-
-
-def _recognize(d: Digraph, k: int, state: _RecBudget) -> RecognizeResult:
-    state.tick()
+def _recognize(d: Digraph, k: int, calls: Budget) -> RecognizeResult:
+    calls.tick()
     if not d.is_strong:
         return RecognizeResult(False, reason="not strong")
     if d.n >= 3 and not d.is_biconnected:
@@ -586,7 +574,7 @@ def _recognize(d: Digraph, k: int, state: _RecBudget) -> RecognizeResult:
         kind, witness, children = found
         certified = []
         for child, emb in children:
-            sub = _recognize(child, k, state)
+            sub = _recognize(child, k, calls)
             if not sub.extremal:
                 return RecognizeResult(
                     False, reason=f"{kind} part not extremal: {sub.reason}"
@@ -891,13 +879,10 @@ def induced_cycle_hypergraph(
     report.  DFS over chordless dipaths rooted at each cycle's smallest
     vertex; exponential in general, guarded by a node budget."""
     edges: set[frozenset[int]] = set()
-    nodes = 0
+    nodes = Budget(node_budget, "induced-cycle budget")
 
     def extend(path: list[int], inside: set[int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(len(edges), None, "induced-cycle budget")
+        nodes.tick(len(edges))
         v0 = path[0]
         last = path[-1]
         for nxt in sorted(d.out_sets[last]):
@@ -959,12 +944,12 @@ def generalized_wheel(children: Sequence[Sequence[int]]) -> Digraph:
     children[v] lists the children of vertex v; vertex 0 is the root.
     Raises InvalidInput unless the lists form a tree on 0..n-1 rooted at 0.
     """
-    not_tree = InvalidInput("children lists must form a tree on 0..n-1 rooted at 0")
+    not_tree = "children lists must form a tree on 0..n-1 rooted at 0"
     if not isinstance(children, Sequence) or not all(
         isinstance(c, Sequence) and all(isinstance(x, int) for x in c)
         for c in children
     ):
-        raise not_tree
+        raise InvalidInput(not_tree)
     n = len(children)
     if n < 3:
         raise InvalidInput("need at least 3 vertices")
@@ -979,13 +964,13 @@ def generalized_wheel(children: Sequence[Sequence[int]]) -> Digraph:
             order.append(v)
         for c in children[v]:
             if not 0 <= c < n or c in seen:
-                raise not_tree
+                raise InvalidInput(not_tree)
             seen.add(c)
             depth[c] = depth[v] + 1
             arcs |= {(v, c), (c, v)}
         stack.extend(reversed(children[v]))
     if len(seen) != n:
-        raise not_tree
+        raise InvalidInput(not_tree)
     if len(order) < 2:
         raise InvalidInput("need at least two leaves for the peripheral dicycle")
     if len({depth[v] % 2 for v in order}) > 1:

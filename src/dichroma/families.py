@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from .core import Digraph, Multigraph, build_digraph, build_multigraph
+from .errors import BadParameters
 
 
 def dicycle(n: int) -> Digraph:
     if n < 2:
-        raise ValueError("a dicycle needs at least 2 vertices")
+        raise BadParameters("a dicycle needs at least 2 vertices")
     return build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -31,20 +32,9 @@ def sym_cycle(n: int) -> Digraph:
     return build_digraph(n, arcs)
 
 
-def sym_path(n: int) -> Digraph:
-    arcs = []
-    for i in range(n - 1):
-        arcs += [(i, i + 1), (i + 1, i)]
-    return build_digraph(n, arcs)
-
-
 def out_star(leaves: int) -> Digraph:
     """One source dominating `leaves` pairwise non-adjacent vertices."""
     return build_digraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def in_star(leaves: int) -> Digraph:
-    return build_digraph(leaves + 1, [(i, 0) for i in range(1, leaves + 1)])
 
 
 def shannon_multigraph(k: int) -> Multigraph:
@@ -54,7 +44,7 @@ def shannon_multigraph(k: int) -> Multigraph:
     degree k when k is even and k-1 when k is odd.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParameters("k must be positive")
     lo, hi = k // 2, (k + 1) // 2
     edges = [(1, 2)] * hi + [(0, 1)] * lo + [(0, 2)] * lo
     return build_multigraph(3, edges)
@@ -67,7 +57,7 @@ def complete_graph(n: int) -> Multigraph:
 def complete_minus_matching(n: int) -> Multigraph:
     """K_n minus a perfect matching (n even): (n-2)-regular and simple."""
     if n % 2 != 0:
-        raise ValueError("n must be even")
+        raise BadParameters("n must be even")
     edges = [
         (i, j)
         for i in range(n)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import Digraph, build_digraph, is_acyclic
-from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
+from .core import Budget, Digraph, build_digraph, is_acyclic
+from .errors import BadVertex, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
 DEFAULT_CAP = 100_000
@@ -323,7 +323,7 @@ def contains_induced(
     """
     if pattern.n > host.n:
         return None
-    nodes = 0
+    candidates = Budget(budget, "pattern search budget")
     mapping: list[int] = []
     used: set[int] = set()
 
@@ -340,15 +340,12 @@ def contains_induced(
         return True
 
     def search(pv: int) -> bool:
-        nonlocal nodes
         if pv == pattern.n:
             return True
         for hv in range(host.n):
             if hv in used:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(0, None, "pattern search budget")
+            candidates.tick()
             if compatible(pv, hv):
                 mapping.append(hv)
                 used.add(hv)

@@ -119,18 +119,6 @@ class CyclicOrder:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def interval_between(order: Sequence[int], x: int, y: int) -> list[int]:
-    """Open cyclic interval ]x, y[ of a cyclic order."""
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    out = []
-    i = (pos[x] + 1) % n
-    while i != pos[y]:
-        out.append(order[i])
-        i = (i + 1) % n
-    return out
-
-
 def satisfies_in_round(d: Digraph, order: Sequence[int]) -> bool:
     """For every arc x->y, every z strictly between x and y also sees y."""
     pos = {v: i for i, v in enumerate(order)}

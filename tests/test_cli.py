@@ -258,3 +258,27 @@ def test_wrong_graph_kind_is_usage_error(files, capsys, argv, wrong):
     kind = "multigraph" if wrong == "c3" else "digraph"
     assert code == 2 and err == {"type": "UsageError",
                                  "message": f"{files[wrong]} is not a {kind} file"}
+
+
+@pytest.mark.parametrize(
+    "env, content, argv, error",
+    [
+        ("abc", None, ["king", "c3"], "UsageError"),
+        (None, b"\xff\xfedigraph 3\n0 1\n", ["king", "raw"], "UsageError"),
+        (None, None, ["gen", "shannon", "--k", "0"], "BadParameters"),
+    ],
+    ids=["budget-env-not-integer", "file-not-utf8", "gen-shannon-k0"],
+)
+def test_bad_environment_file_or_parameter_is_json_error(
+    files, tmp_path, capsys, monkeypatch, env, content, argv, error
+):
+    if env is None:
+        monkeypatch.delenv("DICHROMA_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("DICHROMA_BUDGET", env)
+    if content is not None:
+        files["raw"] = str(tmp_path / "raw.dg")
+        (tmp_path / "raw.dg").write_bytes(content)
+    code = main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and json.loads(out)["error"]["type"] == error and err == ""

@@ -1,0 +1,42 @@
+"""Rules on the library source that keep two promises: checks survive
+`python -O` (no assert), and the CLI turns every failure into a JSON error
+(every raise is of a DichromaError subclass, which `cli.main` catches)."""
+
+import ast
+import importlib
+import pathlib
+
+import dichroma
+from dichroma.errors import DichromaError
+
+SOURCES = sorted(pathlib.Path(dichroma.__file__).parent.glob("*.py"))
+
+
+def _resolve(node, namespace):
+    """The object a Name or dotted Attribute expression names, or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, namespace)
+        return getattr(base, node.attr, None)
+    return None
+
+
+def _violations(path):
+    module = importlib.import_module(f"dichroma.{path.stem}")
+    namespace = vars(module)
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Assert):
+            yield f"{where}: assert is stripped by python -O"
+        elif isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = _resolve(exc, namespace) if exc is not None else None
+            if not (isinstance(cls, type) and issubclass(cls, DichromaError)):
+                yield f"{where}: raises {ast.unparse(exc) if exc else 'bare'}, not a DichromaError"
+
+
+def test_no_assert_and_only_toolkit_errors_raised():
+    assert {p.stem for p in SOURCES} >= {"cli", "core", "errors", "families"}
+    found = [v for path in SOURCES for v in _violations(path)]
+    assert found == []
