@@ -9,9 +9,16 @@ vertices (bound >= 3); an isolated vertex is the degenerate bound-0 case.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
-from .colouring import Dicolouring, exact_dichromatic, greedy_dicolour, verify_dicolouring
+from .colouring import (
+    Dicolouring,
+    exact_dichromatic,
+    greedy_dicolour,
+    two_colour_odd_free,
+    verify_dicolouring,
+)
 from .core import (
     Digraph,
     bfs_order,
@@ -132,16 +139,12 @@ def _colour_component(d: Digraph) -> list[int]:
     # cycles: every same-side pair is a cutset).  The bound still holds, by
     # bipartition when no odd dicycle exists, else by exact search.
     if k == 2:
-        from .colouring import two_colour_odd_free
-
         res = two_colour_odd_free(d)
         if res.ok:
             return list(res.colouring.colours)
         return list(exact_dichromatic(d).colouring.colours)
     # For k >= 3 a triple should always exist; never return an invalid
     # colouring even if this assumption fails.
-    import warnings
-
     warnings.warn("constructive case analysis found no splitting triple")
     return list(exact_dichromatic(d).colouring.colours)
 

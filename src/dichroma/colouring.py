@@ -12,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Budget, Digraph, bfs_path, is_acyclic, mask_of, strong_components
+from .core import (
+    Budget,
+    Digraph,
+    bfs,
+    bfs_path,
+    is_acyclic,
+    mask_of,
+    strong_components,
+    strong_parts,
+    topological_order,
+)
 from .errors import (
     BudgetExceeded,
     InvalidInput,
@@ -179,27 +189,14 @@ def backward_certificate(d: Digraph, c: Dicolouring) -> BackwardPathCertificate:
 
 
 def class_topological_order(d: Digraph, c: Dicolouring) -> list[int]:
-    """Order vertices by colour class, topologically within each class."""
+    """Order vertices by colour class, topologically within each class
+    (least vertex first among the ready ones)."""
     order: list[int] = []
     for cls in c.classes():
-        inside = set(cls)
-        indeg = {v: len(d.in_sets[v] & inside) for v in cls}
-        ready = sorted(v for v in cls if indeg[v] == 0)
-        out: list[int] = []
-        import heapq
-
-        heapq.heapify(ready)
-        while ready:
-            v = heapq.heappop(ready)
-            out.append(v)
-            for w in d.out_sets[v]:
-                if w in inside:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        heapq.heappush(ready, w)
-        if len(out) != len(cls):
+        part = topological_order(d.in_masks, mask_of(cls))
+        if part is None:
             raise InvalidInput("colour class is not acyclic")
-        order.extend(out)
+        order.extend(part)
     return order
 
 
@@ -221,50 +218,32 @@ def two_colour_odd_free(d: Digraph) -> TwoColourResult:
     dipaths into an odd closed trail, which always contains an odd dicycle.
     """
     colour = [1] * d.n
-    for comp in strong_components(d).parts:
-        res = _two_colour_component(d, sorted(comp))
-        if isinstance(res, tuple):
-            return TwoColourResult(odd_cycle=res)
-        for v, c in res.items():
-            colour[v] = c
+    for comp in strong_parts(d.out_masks, (1 << d.n) - 1):
+        # a strong component is connected: one breadth-first search sides it
+        queue, parent = bfs(d.und_masks, comp, (comp & -comp).bit_length() - 1)
+        odd = 0
+        for v in queue[1:]:
+            if not odd >> parent[v] & 1:
+                odd |= 1 << v
+        for v in queue:
+            side = odd if odd >> v & 1 else ~odd
+            same = d.und_masks[v] & comp & side
+            if same:
+                # the first conflict the search meets; v and w sit at the
+                # same depth, so they climb to their common ancestor in step
+                pv, pw = [v], [(same & -same).bit_length() - 1]
+                while pv[-1] != pw[-1]:
+                    pv.append(parent[pv[-1]])
+                    pw.append(parent[pw[-1]])
+                cycle = _odd_dicycle_from_conflict(d, comp, pv + pw[-2::-1])
+                return TwoColourResult(odd_cycle=tuple(cycle))
+            colour[v] = 2 if odd >> v & 1 else 1
     return TwoColourResult(colouring=Dicolouring(tuple(colour), 2 if d.n else 0))
 
 
-def _two_colour_component(d: Digraph, comp: list[int]):
-    """Bipartition of one strong component, or an odd dicycle (tuple)."""
-    inside = set(comp)
-    side: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    from collections import deque
-
-    for root in comp:
-        if root in side:
-            continue
-        side[root] = 1
-        parent[root] = None
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for w in sorted(d.und_sets[v] & inside):
-                if w not in side:
-                    side[w] = 3 - side[v]
-                    parent[w] = v
-                    q.append(w)
-                elif side[w] == side[v]:
-                    pv = _path_to_root(parent, v)
-                    pw = _path_to_root(parent, w)
-                    common = (set(pv) & set(pw))
-                    # lowest common ancestor = first shared vertex
-                    lca = next(x for x in pv if x in common)
-                    und_cycle = pv[: pv.index(lca) + 1]
-                    und_cycle += list(reversed(pw[: pw.index(lca)]))
-                    return tuple(_odd_dicycle_from_conflict(d, inside, und_cycle))
-    return side
-
-
-def _odd_dicycle_from_conflict(d: Digraph, inside: set[int], und_cycle: list[int]) -> list[int]:
-    """An odd dicycle inside a strong set, from an odd cycle of its
-    underlying graph.
+def _odd_dicycle_from_conflict(d: Digraph, inside: int, und_cycle: list[int]) -> list[int]:
+    """An odd dicycle inside a strong vertex bitset, from an odd cycle of
+    its underlying graph.
 
     Walks an odd closed trail built from shortest dipaths between the
     vertices of the underlying cycle, then pops the first odd dicycle
@@ -276,20 +255,13 @@ def _odd_dicycle_from_conflict(d: Digraph, inside: set[int], und_cycle: list[int
         if (a, b) in d.arcs:
             seg = [a, b]
         else:
-            seg = bfs_path(d.out_masks, mask_of(inside), a, b)
+            seg = bfs_path(d.out_masks, inside, a, b)
             # an even-length dipath plus the reverse arc closes an odd
             # dicycle directly
             if len(seg) % 2 == 1:
                 return seg
         trail.extend(seg[:-1])
     return _odd_cycle_from_trail(trail)
-
-
-def _path_to_root(parent: dict[int, int | None], v: int) -> list[int]:
-    out = [v]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])  # type: ignore[arg-type]
-    return out
 
 
 def _odd_cycle_from_trail(trail: list[int]) -> list[int]:

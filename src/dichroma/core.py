@@ -8,6 +8,7 @@ ascending vertex index so downstream certificates are deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -189,8 +190,6 @@ class Multigraph:
 
     @cached_property
     def mu(self) -> int:
-        from collections import Counter
-
         c = Counter(self.edges)
         return max(c.values(), default=0)
 
@@ -422,83 +421,105 @@ def is_acyclic(out_masks: Sequence[int], s: int) -> bool:
     return True
 
 
-def bfs_path(adj: Sequence[int], within: int, a: int, b: int) -> list[int] | None:
-    """A shortest a-b path along the neighbourhood bitsets `adj` inside the
-    vertex bitset `within`, or None.  Breadth-first from a, each vertex
-    queueing its new neighbours in ascending index, so a tie goes to the
-    earliest-queued parent."""
-    prev = {a: a}
-    seen = 1 << a
-    queue = [a]
+def bfs(
+    adj: Sequence[int], within: int, root: int, stop: int = -1
+) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search from `root` along the neighbourhood bitsets
+    `adj` inside the vertex bitset `within`, each vertex queueing its new
+    neighbours in ascending index.  Returns the queue, which stops growing
+    once `stop` is read from it, and the parent of each queued vertex (the
+    root is its own parent)."""
+    parent = {root: root}
+    seen = 1 << root
+    queue = [root]
     for v in queue:  # grows while it is read
-        if v == b:
+        if v == stop:
             break
         new = adj[v] & within & ~seen
         seen |= new
         for w in bits(new):
-            prev[w] = v
+            parent[w] = v
             queue.append(w)
-    if b not in prev:
+    return queue, parent
+
+
+def bfs_path(adj: Sequence[int], within: int, a: int, b: int) -> list[int] | None:
+    """A shortest a-b path along the neighbourhood bitsets `adj` inside the
+    vertex bitset `within`, or None.  Breadth-first from a, so a tie goes
+    to the earliest-queued parent."""
+    _, parent = bfs(adj, within, a, b)
+    if b not in parent:
         return None
     path = [b]
     while path[-1] != a:
-        path.append(prev[path[-1]])
+        path.append(parent[path[-1]])
     path.reverse()
     return path
 
 
-def strong_components(d: Digraph) -> VertexSetPartition:
-    """Strongly connected components, topologically ordered.
+def strong_parts(out_masks: Sequence[int], within: int) -> list[int]:
+    """Strong components of the subdigraph induced by the vertex bitset
+    `within`, as bitsets in topological order: an arc between two parts
+    runs from the earlier to the later.  Tarjan's search (1972), with roots
+    in ascending index and each vertex descending to its least unvisited
+    out-neighbour inside `within`."""
+    disc = [0] * len(out_masks)
+    low = disc[:]
+    seen = active = t = 0  # active: visited vertices in no closed part
+    stack: list[int] = []  # the active vertices, in visiting order
+    path: list[int] = []  # the search path, ending at the current vertex
+    parts = []
+    while True:
+        free = (out_masks[path[-1]] if path else within) & within & ~seen
+        if free:
+            w_bit = free & -free
+            w = w_bit.bit_length() - 1
+            seen |= w_bit
+            active |= w_bit
+            stack.append(w)
+            path.append(w)
+            # an arc into an active vertex visited earlier lowers the link
+            disc[w] = t
+            low[w] = min([t] + [disc[x] for x in bits(out_masks[w] & active)])
+            t += 1
+        elif path:
+            v = path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == disc[v]:
+                part = 0
+                while not part >> v & 1:
+                    part |= 1 << stack.pop()
+                active ^= part
+                parts.append(part)
+        else:
+            break
+    parts.reverse()  # Tarjan closes the parts in reverse topological order
+    return parts
 
-    Arcs between distinct components always go from an earlier part to a
-    later one.  Iterative Tarjan; tie-breaks by ascending index.
-    """
-    n = d.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, Iterable[int]]] = [(root, iter(sorted(d.out_sets[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(d.out_sets[w]))))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(frozenset(comp))
-    # Tarjan emits components in reverse topological order.
-    comps.reverse()
-    return VertexSetPartition(n, tuple(comps))
+
+def strong_components(d: Digraph) -> VertexSetPartition:
+    """Strongly connected components in the topological order of
+    `strong_parts`."""
+    parts = strong_parts(d.out_masks, (1 << d.n) - 1)
+    return VertexSetPartition(d.n, tuple(frozenset(bits(p)) for p in parts))
+
+
+def topological_order(in_masks: Sequence[int], within: int) -> list[int] | None:
+    """The vertices of the bitset `within` in topological order, each step
+    taking the least vertex with no in-neighbour left (Kahn), or None when
+    `within` holds a dicycle."""
+    order = []
+    while within:
+        ready = within
+        while ready and in_masks[(ready & -ready).bit_length() - 1] & within:
+            ready &= ready - 1
+        if not ready:
+            return None
+        v_bit = ready & -ready
+        order.append(v_bit.bit_length() - 1)
+        within ^= v_bit
+    return order
 
 
 def weak_components(d: Digraph) -> list[frozenset[int]]:
@@ -605,21 +626,11 @@ def bfs_order(d: Digraph, root: int) -> list[int]:
     """
     if not (0 <= root < d.n):
         raise IndexOutOfRange(f"root {root}")
-    from collections import deque
-
-    order = [root]
-    seen = {root}
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for w in sorted(d.und_sets[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                q.append(w)
-    if len(order) != d.n:
-        missing = next(v for v in range(d.n) if v not in seen)
-        raise Disconnected(f"vertex {missing} unreachable from {root}")
+    full = (1 << d.n) - 1
+    order, _ = bfs(d.und_masks, full, root)
+    missing = full & ~mask_of(order)
+    if missing:
+        raise Disconnected(f"vertex {bits(missing)[0]} unreachable from {root}")
     return order
 
 

@@ -21,6 +21,7 @@ from .core import (
     bridges,
     build_multigraph,
     components,
+    euler_tour,
     multigraph_components,
 )
 from .errors import (
@@ -316,8 +317,6 @@ def split_euler(g: Multigraph):
 
 
 def _euler_halves(g: Multigraph):
-    from .core import euler_tour
-
     res = euler_tour(g)
     if not res.exists:
         raise NotRegular("no closed trail; degrees not even?")
@@ -642,12 +641,7 @@ def _edge_surgery_factor(g: Multigraph, cut, phi: int) -> list[int] | None:
                 else:
                     continue
             keep += [uy, vw]
-            deg = [0] * g.n
-            for i in keep:
-                a, b = g.edges[i]
-                deg[a] += 1
-                deg[b] += 1
-            if all(deg[z] == phi for z in range(g.n)):
+            if FactorWitness(tuple(keep), phi).verify(g):
                 return sorted(keep)
     return None
 

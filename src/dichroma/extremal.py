@@ -12,9 +12,11 @@ verdict is the conjunction over the children of the first split found.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
+from .colouring import exact_dichromatic
 from .core import (
     Arc,
     Budget,
@@ -54,8 +56,6 @@ def _maxflow_unit(n: int, arcs: Sequence[Arc], s: int, t: int) -> tuple[int, set
         adj[v].add(u)
     nbrs = [sorted(a) for a in adj]
     flow = 0
-    from collections import deque
-
     while True:
         prev: dict[int, int] = {s: -1}
         q = deque([s])
@@ -982,8 +982,6 @@ def generalized_wheel(children: Sequence[Sequence[int]]) -> Digraph:
 
 def check_2_extremal(d: Digraph) -> bool:
     """Brute-force check: strong, biconnected, lambda = 2 and chi = 3."""
-    from .colouring import exact_dichromatic
-
     if not d.is_strong or (d.n >= 3 and not d.is_biconnected):
         return False
     if lambda_profile(d).value != 2:

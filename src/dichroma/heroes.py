@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from .colouring import exact_dichromatic
 from .core import Budget, Digraph, build_digraph, is_acyclic
 from .errors import BadVertex, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
@@ -392,8 +393,6 @@ def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:
 
     `budget` caps each search; None leaves each search its own default.
     """
-    from .colouring import exact_dichromatic
-
     report: dict = {"name": gen.name, "params": gen.params}
     limit = {} if budget is None else {"budget": budget}
     if gen.claimed_chi is not None:

@@ -12,10 +12,21 @@ out-neighbourhood just after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .colouring import Dicolouring
-from .core import Digraph, contract, is_acyclic, mask_of, partition, strong_components
+from .core import (
+    Digraph,
+    bfs,
+    bits,
+    contract,
+    is_acyclic,
+    mask_of,
+    partition,
+    strong_components,
+    strong_parts,
+    topological_order,
+)
 from .errors import (
     InvalidInput,
     NotOriented,
@@ -171,8 +182,8 @@ def inround_order(d: Digraph) -> InRoundResult:
         raise NotOriented("digons present")
     if not d.is_strong:
         raise NotStrong("not strongly connected")
-    if d.n == 1:
-        return InRoundResult(order=CyclicOrder((0,)))
+    if d.n <= 1:
+        return InRoundResult(order=CyclicOrder(tuple(range(d.n))))
     for v in range(d.n):
         if not _is_tournament(d, d.out_sets[v]):
             return InRoundResult(failing_vertex=v, failing_condition="out-not-tournament")
@@ -183,9 +194,6 @@ def inround_order(d: Digraph) -> InRoundResult:
         sinks = [y for y in sorted(d.in_sets[x]) if not (d.out_sets[y] & d.in_sets[x])]
         f[x] = sinks[0]
     # follow x -> f(x); every vertex has in-degree 1 in the f-arc digraph
-    succ_of = {}
-    for x in range(d.n):
-        succ_of[f[x]] = succ_of.get(f[x], []) + [x]
     start = 0
     cycle = [start]
     seen = {start}
@@ -211,23 +219,11 @@ def inround_order(d: Digraph) -> InRoundResult:
 # hubs
 
 
-def _hub_candidates(d: Digraph) -> list[frozenset[int]]:
-    """Strong components of in-neighbourhoods: every hub is contained in
-    one, and each such component is itself a hub."""
-    cands: set[frozenset[int]] = set()
-    for x in range(d.n):
-        ins = sorted(d.in_sets[x])
-        if not ins:
-            continue
-        sub, labels = d.induced(ins)
-        for comp in strong_components(sub).parts:
-            cands.add(frozenset(labels[i] for i in comp))
-    return sorted(cands, key=lambda s: (-len(s), sorted(s)))
-
-
-def _maximal_of(cands: list[frozenset[int]]) -> list[frozenset[int]]:
-    uniq = set(cands)
-    return [c for c in uniq if not any(c < o for o in uniq)]
+def _maximal_parts(d: Digraph, sets: Iterable[int]) -> list[frozenset[int]]:
+    """The inclusion-maximal ones among the strong components of the
+    subdigraphs induced by some vertex bitsets."""
+    parts = {p for s in sets for p in strong_parts(d.out_masks, s)}
+    return [frozenset(bits(p)) for p in parts if not any(p & q == p != q for q in parts)]
 
 
 def maximal_hubs(d: Digraph) -> list[frozenset[int]]:
@@ -235,7 +231,9 @@ def maximal_hubs(d: Digraph) -> list[frozenset[int]]:
     vertex), plus leftover singletons; they partition the vertex set of a
     strong locally out-transitive oriented graph (the caller's partition
     constructor rejects overlaps loudly)."""
-    chosen = _maximal_of(_hub_candidates(d))
+    # every hub lies in a strong component of an in-neighbourhood, and each
+    # such component is itself a hub
+    chosen = _maximal_parts(d, d.in_masks)
     covered = {v for c in chosen for v in c}
     for v in range(d.n):
         if v not in covered:
@@ -394,38 +392,25 @@ def _two_colour_strong(d: Digraph, t_local: list[int], want: int) -> list[int]:
 # locally semicomplete structure
 
 
-def _weak_hub_candidates(d: Digraph) -> list[frozenset[int]]:
-    """Strong components of strict in/out-neighbourhoods."""
-    cands: set[frozenset[int]] = set()
-    for x in range(d.n):
-        for side in (
-            d.out_sets[x] - d.in_sets[x],
-            d.in_sets[x] - d.out_sets[x],
-        ):
-            if not side:
-                continue
-            sub, labels = d.induced(sorted(side))
-            for comp in strong_components(sub).parts:
-                cands.add(frozenset(labels[i] for i in comp))
-    return sorted(cands, key=lambda s: (-len(s), sorted(s)))
-
-
 def maximal_weak_hubs(d: Digraph) -> list[frozenset[int]]:
     """Inclusion-maximal weak hubs: strong sets strictly in- or
     out-dominated by an outside vertex.  May overlap when some hub is
     mixed; pairwise disjoint otherwise."""
-    return sorted(_maximal_of(_weak_hub_candidates(d)), key=lambda s: (sorted(s), len(s)))
+    strict = [o & ~i for o, i in zip(d.out_masks, d.in_masks)]
+    strict += [i & ~o for o, i in zip(d.out_masks, d.in_masks)]
+    return sorted(_maximal_parts(d, strict), key=lambda s: (sorted(s), len(s)))
 
 
-def _is_mixed_weak_hub(d: Digraph, hub: frozenset[int]) -> bool:
-    for x in range(d.n):
-        if x in hub:
-            continue
-        has_out = bool(d.out_sets[x] & hub)
-        has_in = bool(d.in_sets[x] & hub)
-        if has_out and has_in:
-            return True
-    return False
+def _hub_sides(d: Digraph, hub: int) -> tuple[int, int, int]:
+    """The vertices outside the bitset `hub` with arcs both into and out of
+    it, only into it, and only out of it, as bitsets."""
+    into = out_of = 0
+    for v in bits(hub):
+        into |= d.in_masks[v]
+        out_of |= d.out_masks[v]
+    into &= ~hub
+    out_of &= ~hub
+    return into & out_of, into & ~out_of, out_of & ~into
 
 
 @dataclass(frozen=True)
@@ -455,12 +440,15 @@ def semicomplete_structure(d: Digraph) -> SemicompleteStructure:
         if d.out_sets[v] == d.in_sets[v] == (set(range(d.n)) - {v}):
             return SemicompleteStructure("UniversalVertex", universal_vertex=v)
     hubs = maximal_weak_hubs(d)
-    mixed = next((h for h in hubs if _is_mixed_weak_hub(d, h)), None)
-    if mixed is None:
+    for hub in hubs:
+        g, h, f = _hub_sides(d, mask_of(hub))
+        if g:  # a mixed hub
+            break
+    else:
         # maximal weak hubs are pairwise disjoint when none is mixed;
         # vertices with identical non-universal in/out neighbourhoods are
         # in no hub and stay singletons
-        covered = {v for h in hubs for v in h}
+        covered = {v for x in hubs for v in x}
         parts = hubs + [frozenset({v}) for v in range(d.n) if v not in covered]
         part = partition(d.n, parts)
         q = contract(d, part)
@@ -468,34 +456,18 @@ def semicomplete_structure(d: Digraph) -> SemicompleteStructure:
         return SemicompleteStructure(
             "RoundBlowup", parts=tuple(parts), order=order
         )
-    x = mixed
-    g_set = set()
-    h_set = set()
-    f_set = set()
-    for u in range(d.n):
-        if u in x:
-            continue
-        has_out = bool(d.out_sets[u] & x)
-        has_in = bool(d.in_sets[u] & x)
-        if has_out and has_in:
-            g_set.add(u)
-        elif has_out:
-            h_set.add(u)
-        elif has_in:
-            f_set.add(u)
-    leftover = set(range(d.n)) - set(x) - g_set - h_set - f_set
+    if (1 << d.n) - 1 & ~(mask_of(hub) | g | h | f):
+        raise InvalidInput("vertices unrelated to the mixed hub; not connected?")
     notes = [
         "four-set nonemptiness follows the constructive split: the first "
         "and third sets are non-empty and at least one of the other two is"
     ]
-    if leftover:
-        raise InvalidInput("vertices unrelated to the mixed hub; not connected?")
     return SemicompleteStructure(
         "FourSetPartition",
-        e=frozenset(x),
-        f=frozenset(f_set),
-        g=frozenset(g_set),
-        h=frozenset(h_set),
+        e=hub,
+        f=frozenset(bits(f)),
+        g=frozenset(bits(g)),
+        h=frozenset(bits(h)),
         notes=tuple(notes),
     )
 
@@ -505,29 +477,14 @@ def _round_order(q: Digraph) -> CyclicOrder:
     strong quotients, the unique-source topological order for acyclic ones
     (a connected non-strong round oriented graph is an acyclic one whose
     order is a Hamiltonian dipath)."""
-    if q.n == 1:
-        return CyclicOrder((0,))
     if q.is_strong:
         res = inround_order(q)
         if res.ok and satisfies_round(q, res.order.order):
             return res.order
         raise InvalidInput("quotient of weak hubs is not round")
-    if not is_acyclic(q.out_masks, (1 << q.n) - 1):
+    order = topological_order(q.in_masks, (1 << q.n) - 1)
+    if order is None:
         raise InvalidInput("quotient neither strong nor acyclic")
-    order: list[int] = []
-    indeg = [q.d_minus(v) for v in range(q.n)]
-    remaining = set(range(q.n))
-    while remaining:
-        sources = [v for v in remaining if indeg[v] == 0]
-        if len(sources) != 1 and len(remaining) > 1:
-            # a round acyclic connected digraph peels a unique source
-            sources.sort()
-        v = sources[0]
-        order.append(v)
-        remaining.remove(v)
-        for w in q.out_sets[v]:
-            if w in remaining:
-                indeg[w] -= 1
     if not satisfies_round(q, order):
         raise InvalidInput("quotient of weak hubs is not round")
     return CyclicOrder.from_sequence(order)
@@ -549,26 +506,16 @@ def find_2king(d: Digraph) -> int | None:
 
 
 def shortest_dicycle_length(d: Digraph) -> int | None:
-    """Length of a shortest directed cycle, or None when acyclic."""
-    from collections import deque
-
-    best: int | None = None
+    """Length of a shortest directed cycle, or None when acyclic: the least
+    1 + dist(s, u) over the arcs u->s."""
+    lengths = []
     for s in range(d.n):
+        queue, parent = bfs(d.out_masks, (1 << d.n) - 1, s)
         dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            if best is not None and dist[v] + 1 >= best:
-                continue
-            for w in d.out_sets[v]:
-                if w == s:
-                    cand = dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-                elif w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-    return best
+        for v in queue[1:]:
+            dist[v] = dist[parent[v]] + 1
+        lengths += [dist[u] + 1 for u in d.in_sets[s] if u in dist]
+    return min(lengths, default=None)
 
 
 @dataclass(frozen=True)

@@ -282,3 +282,21 @@ def test_bad_environment_file_or_parameter_is_json_error(
     code = main([files.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert code == 2 and json.loads(out)["error"]["type"] == error and err == ""
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("round", {"in_round": True, "order": []}),
+        ("hubs", {"hubs": [], "quotient_arcs": [], "order": []}),
+        ("structure", {"case": "RoundBlowup", "parts": [], "order": []}),
+    ],
+)
+def test_empty_digraph_gives_a_report(tmp_path, capsys, command, expected):
+    path = tmp_path / "empty.dg"
+    path.write_text("digraph 0\n")
+    code = main([command, str(path)])
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert code == 0 and out.count("\n") == 1
+    assert {key: rep.get(key) for key in expected} == expected

@@ -1,6 +1,8 @@
 """Rules on the library source that keep two promises: checks survive
 `python -O` (no assert), and the CLI turns every failure into a JSON error
-(every raise is of a DichromaError subclass, which `cli.main` catches)."""
+(every raise is of a DichromaError subclass, which `cli.main` catches).
+A third keeps every module's dependencies in its header: no import sits
+inside a function."""
 
 import ast
 import importlib
@@ -39,4 +41,17 @@ def _violations(path):
 def test_no_assert_and_only_toolkit_errors_raised():
     assert {p.stem for p in SOURCES} >= {"cli", "core", "errors", "families"}
     found = [v for path in SOURCES for v in _violations(path)]
+    assert found == []
+
+
+def _function_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield f"{path.name}:{inner.lineno}: import inside {node.name}"
+
+
+def test_no_import_inside_a_function():
+    found = sorted({v for path in SOURCES for v in _function_imports(path)})
     assert found == []

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import networkx as nx
+import pytest
 from hypothesis import given, strategies as st
 
 from dichroma.core import (
     Digraph,
     Multigraph,
+    bfs_order,
     bfs_path,
     bits,
     bridges,
@@ -15,7 +17,11 @@ from dichroma.core import (
     is_acyclic,
     mask_of,
     reach,
+    strong_components,
+    strong_parts,
+    topological_order,
 )
+from dichroma.errors import Disconnected
 
 from strategies import digraphs, multigraphs
 
@@ -88,6 +94,52 @@ def test_bfs_path_is_a_shortest_path(d, data):
     assert path[0] == a and path[-1] == b and set(path) <= within
     assert all(sub.has_edge(p, q) for p, q in zip(path, path[1:]))
     assert len(path) - 1 == nx.shortest_path_length(sub, a, b)
+
+
+def _induced(d: Digraph, within) -> nx.DiGraph:
+    sub = nx.DiGraph()
+    sub.add_nodes_from(within)
+    sub.add_edges_from((p, q) for p, q in d.arcs if p in within and q in within)
+    return sub
+
+
+@given(digraphs(max_n=12), st.data())
+def test_strong_parts_are_ordered_strong_components(d, data):
+    within = data.draw(st.sampled_from([set(range(d.n)), None]))
+    if within is None:
+        within = data.draw(st.sets(st.integers(0, d.n - 1)))
+    parts = strong_parts(d.out_masks, mask_of(within))
+    expected = nx.strongly_connected_components(_induced(d, within))
+    assert sorted(bits(p) for p in parts) == sorted(sorted(c) for c in expected)
+    rank = {v: i for i, p in enumerate(parts) for v in bits(p)}
+    assert all(rank[p] <= rank[q] for p, q in d.arcs if p in rank and q in rank)
+    if len(within) == d.n:
+        assert strong_components(d).parts == tuple(frozenset(bits(p)) for p in parts)
+
+
+@given(digraphs(max_n=12), st.data())
+def test_topological_order_is_the_least_index_first_order(d, data):
+    within = data.draw(st.sets(st.integers(0, d.n - 1)))
+    sub = _induced(d, within)
+    order = topological_order(d.in_masks, mask_of(within))
+    if not nx.is_directed_acyclic_graph(sub):
+        assert order is None
+    else:
+        assert order == list(nx.lexicographical_topological_sort(sub))
+
+
+@given(digraphs(max_n=12), st.data())
+def test_bfs_order_follows_sorted_neighbours(d, data):
+    root = data.draw(st.integers(0, d.n - 1))
+    und = nx.Graph()
+    und.add_nodes_from(range(d.n))
+    und.add_edges_from(d.arcs)
+    expected = [root] + [q for _, q in nx.bfs_edges(und, root, sort_neighbors=sorted)]
+    if len(expected) < d.n:
+        with pytest.raises(Disconnected):
+            bfs_order(d, root)
+    else:
+        assert bfs_order(d, root) == expected
 
 
 def test_multigraph_normalises_endpoints_in_place():
