@@ -387,9 +387,20 @@ def _lowpoint_dfs(
     return out
 
 
+def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, int]]:
+    """The bridges of the multigraph with neighbourhood bitsets `adj`, as
+    (lesser, greater) end pairs in the order the lowpoint search finds them
+    (Tarjan 1974).  `doubled[v]` holds the neighbours joined to v by more
+    than one edge; such an edge is never a bridge."""
+    return [
+        (min(p, v), max(p, v))
+        for p, v, gap, _ in _lowpoint_dfs(adj, doubled)
+        if gap > 0
+    ]
+
+
 def bridges(g: Multigraph) -> list[int]:
-    """Indices of the bridges of g, in the order the lowpoint search finds
-    them (Tarjan 1974).  An edge with a parallel copy is never a bridge."""
+    """Indices of the bridges of g, in the order of `bridge_ends`."""
     index: dict[tuple[int, int], int] = {}
     doubled = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
@@ -397,11 +408,7 @@ def bridges(g: Multigraph) -> list[int]:
             doubled[u] |= 1 << v
             doubled[v] |= 1 << u
         index[u, v] = i
-    return [
-        index[min(p, v), max(p, v)]
-        for p, v, gap, _ in _lowpoint_dfs(g.masks, doubled)
-        if gap > 0
-    ]
+    return [index[e] for e in bridge_ends(g.masks, doubled)]
 
 
 def is_acyclic(out_masks: Sequence[int], s: int) -> bool:

@@ -12,7 +12,6 @@ verdict is the conjunction over the children of the first split found.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -21,13 +20,14 @@ from .core import (
     Arc,
     Budget,
     Digraph,
-    Multigraph,
+    bfs,
     bfs_path,
     bits,
-    bridges,
+    bridge_ends,
     build_digraph,
     components,
     mask_of,
+    reach,
 )
 from .errors import (
     BadEmbeddingOrder,
@@ -43,35 +43,34 @@ from .errors import (
 # max-flow / lambda profile
 
 
-def _maxflow_unit(n: int, arcs: Sequence[Arc], s: int, t: int) -> tuple[int, set[int]]:
-    """Max arc-disjoint s->t dipaths (unit capacities) and the residual
-    source side of a minimum dicut."""
+def _maxflow_unit(d: Digraph, s: int, t: int) -> tuple[int, int]:
+    """Max arc-disjoint s->t dipaths (unit capacities), augmenting along
+    `core.bfs` in the residual digraph, and the vertex bitset the final
+    residual digraph reaches from s.  That set is the source side of the
+    least minimum s-t dicut, the same for every maximum flow."""
     if s == t:
         raise InvalidInput("flow endpoints must differ")
-    cap: dict[Arc, int] = {}
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in arcs:
-        cap[(u, v)] = cap.get((u, v), 0) + 1
-        adj[u].add(v)
-        adj[v].add(u)
-    nbrs = [sorted(a) for a in adj]
+    out = d.out_masks
+    fwd = [0] * d.n  # fwd[x]: heads of the arcs out of x that carry flow
+    back = [0] * d.n  # back[x]: tails of the arcs into x that carry flow
+    res = list(out)  # residual out-neighbours: out & ~fwd | back
+    full = (1 << d.n) - 1
     flow = 0
     while True:
-        prev: dict[int, int] = {s: -1}
-        q = deque([s])
-        while q and t not in prev:
-            x = q.popleft()
-            for y in nbrs[x]:
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    q.append(y)
-        if t not in prev:
-            return flow, set(prev)
+        queue, parent = bfs(res, full, s, t)
+        if t not in parent:
+            return flow, mask_of(queue)
         y = t
         while y != s:
-            x = prev[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] = cap.get((y, x), 0) + 1
+            x = parent[y]
+            if back[x] >> y & 1:  # cancel the flow on y->x
+                back[x] ^= 1 << y
+                fwd[y] ^= 1 << x
+            else:
+                fwd[x] |= 1 << y
+                back[y] |= 1 << x
+            res[x] = out[x] & ~fwd[x] | back[x]
+            res[y] = out[y] & ~fwd[y] | back[y]
             y = x
         flow += 1
 
@@ -97,23 +96,23 @@ class LambdaProfile:
 
 
 def lambda_profile(d: Digraph) -> LambdaProfile:
-    """Exact local arc-connectivity for every ordered pair, by unit max-flow."""
+    """Exact local arc-connectivity for every ordered pair, by unit max-flow.
+    cuts[(u, v)] is the least minimum u-v dicut (X, V - X): X is the set the
+    residual digraph of a maximum flow reaches from u."""
     values: dict[Arc, int] = {}
     cuts: dict[Arc, tuple[frozenset[int], frozenset[int]]] = {}
-    arcs = d.sorted_arcs()
+    full = (1 << d.n) - 1
     for u in range(d.n):
         for v in range(d.n):
             if u == v:
                 continue
-            f, side = _maxflow_unit(d.n, arcs, u, v)
-            values[(u, v)] = f
-            x = frozenset(side)
-            cuts[(u, v)] = (x, frozenset(range(d.n)) - x)
+            values[(u, v)], side = _maxflow_unit(d, u, v)
+            cuts[(u, v)] = (frozenset(bits(side)), frozenset(bits(full & ~side)))
     return LambdaProfile(d.n, values, cuts)
 
 
 def lambda_value(d: Digraph, u: int, v: int) -> int:
-    return _maxflow_unit(d.n, d.sorted_arcs(), u, v)[0]
+    return _maxflow_unit(d, u, v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def hajos_bijoin(
 
 def _joined(adj: Sequence[int], within: int, x: int, y: int) -> bool:
     """Do x and y lie in one component of the vertex bitset within?"""
-    return any(c >> x & 1 and c >> y & 1 for c in components(adj, within))
+    return reach(adj, within, 1 << x) >> y & 1 == 1
 
 
 def _tree_structure(n: int, tree_edges: Sequence[tuple[int, int]]):
@@ -397,16 +396,9 @@ def check_extremal_necessary(d: Digraph, k: int) -> NecessaryReport:
     lam_ok = False
     lam_max = 0
     if strong and d.n >= 2:
-        lam_ok = True
-        arcs = d.sorted_arcs()
-        for uu in range(d.n):
-            for vv in range(d.n):
-                if uu == vv:
-                    continue
-                f, _ = _maxflow_unit(d.n, arcs, uu, vv)
-                lam_max = max(lam_max, f)
-                if f != k:
-                    lam_ok = False
+        values = lambda_profile(d).values.values()
+        lam_ok = all(f == k for f in values)
+        lam_max = max(values)
     return NecessaryReport(eul, strong, bic, lam_ok, lam_max)
 
 
@@ -632,14 +624,22 @@ Child = tuple[Digraph, tuple[int, ...]]
 Found = tuple[str, dict, list[Child]]
 
 
-def _underlying(d: Digraph, keep: int, drop: Collection[Arc]) -> Multigraph:
+def _underlying(
+    d: Digraph, keep: int, drop: Collection[Arc]
+) -> tuple[list[int], list[int]]:
     """Underlying multigraph of d on the vertex bitset keep, without the
-    arcs in drop; a digon gives two parallel edges."""
-    return Multigraph(d.n, tuple(
-        (p, q)
-        for p, q in d.arcs
-        if keep >> p & 1 and keep >> q & 1 and (p, q) not in drop
-    ))
+    arcs in drop, as (adj, doubled) bitsets for `bridge_ends`: adj[v] holds
+    v's neighbours, doubled[v] those still joined to v by both arcs of a
+    digon."""
+    adj = [m & keep if keep >> v & 1 else 0 for v, m in enumerate(d.und_masks)]
+    doubled = [o & i & a for o, i, a in zip(d.out_masks, d.in_masks, adj)]
+    for p, q in drop:
+        doubled[p] &= ~(1 << q)
+        doubled[q] &= ~(1 << p)
+        if (q, p) not in d.arcs or (q, p) in drop:
+            adj[p] &= ~(1 << q)
+            adj[q] &= ~(1 << p)
+    return adj, doubled
 
 
 def _child_plus(d: Digraph, vertices: list[int], extra: list[Arc]) -> Child:
@@ -665,7 +665,7 @@ def _find_directed_split(d: Digraph) -> Found | None:
     """First (lex by (u, w, v)) directed-join split, replay-verified."""
     full = (1 << d.n) - 1
     for u, w in d.sorted_arcs():
-        adj = _underlying(d, full, [(u, w)]).masks
+        adj, _ = _underlying(d, full, [(u, w)])
         for v in range(d.n):
             if v == u or v == w:
                 continue
@@ -695,10 +695,8 @@ def _find_star_split(d: Digraph) -> Found | None:
         for pl, p1 in d.sorted_arcs():
             if y in (pl, p1):
                 continue
-            g = _underlying(d, keep, [(pl, p1)])
             forest = [0] * d.n
-            for i in bridges(g):
-                a, b = g.edges[i]
+            for a, b in bridge_ends(*_underlying(d, keep, [(pl, p1)])):
                 forest[a] |= 1 << b
                 forest[b] |= 1 << a
             if not forest[p1] or not forest[pl]:
@@ -714,7 +712,7 @@ def _find_star_split(d: Digraph) -> Found | None:
             if any(d.has_arc(y, p) or d.has_arc(p, y) for p in rim):
                 continue
             cyc_arcs = {(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))}
-            comps = components(_underlying(d, keep, cyc_arcs).masks, keep)
+            comps = components(_underlying(d, keep, cyc_arcs)[0], keep)
             if len(comps) != len(rim):
                 continue
             comp_of = [next(c for c in comps if c >> p & 1) for p in rim]
@@ -772,7 +770,7 @@ def _parallel_cut_search(
     for p, q in d.sorted_arcs():
         if p < q and s_comp >> p & 1 and s_comp >> q & 1 and (q, p) in d.arcs:
             e, f = (p, q), (q, p)
-            parts = components(_underlying(d, s_comp, [e, f]).masks, s_comp)
+            parts = components(_underlying(d, s_comp, [e, f])[0], s_comp)
             if len(parts) != 2:
                 continue
             found = _validate_parallel(d, a, b, e, f, parts, b_union)
@@ -786,9 +784,7 @@ def _parallel_cut_search(
     ]
     seen_pairs: set[frozenset[Arc]] = set()
     for e in inner:
-        g = _underlying(d, s_comp, [e])
-        for i in bridges(g):
-            p, q = g.edges[i]
+        for p, q in bridge_ends(*_underlying(d, s_comp, [e])):
             f = (p, q) if (p, q) in d.arcs else (q, p)
             if f == e or (f[1], f[0]) in d.arcs:
                 continue
@@ -796,7 +792,7 @@ def _parallel_cut_search(
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            parts = components(_underlying(d, s_comp, [e, f]).masks, s_comp)
+            parts = components(_underlying(d, s_comp, [e, f])[0], s_comp)
             if len(parts) != 2:
                 continue
             found = _validate_parallel(d, a, b, e, f, parts, b_union)

@@ -207,16 +207,13 @@ def transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     """
     out: list[tuple[int, ...]] = []
 
-    def closed(s: tuple[int, ...], mask: int, v: int) -> bool:
-        for u in s:
-            if (u, v) not in d.arcs and (v, u) not in d.arcs:
-                return False
-        return is_acyclic(d.out_masks, mask | 1 << v)
+    def closed(mask: int, v: int) -> bool:
+        return mask & ~d.und_masks[v] == 0 and is_acyclic(d.out_masks, mask | 1 << v)
 
     def extend(s: tuple[int, ...], mask: int, start: int):
         out.append(s)
         for v in range(start, d.n):
-            if closed(s, mask, v):
+            if closed(mask, v):
                 extend(s + (v,), mask | 1 << v, v + 1)
 
     for v in range(d.n):

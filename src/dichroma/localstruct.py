@@ -36,24 +36,15 @@ from .errors import (
 
 
 def _is_tournament(d: Digraph, s: frozenset[int] | set[int]) -> bool:
-    s = list(s)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            a, b = s[i], s[j]
-            fwd, bwd = (a, b) in d.arcs, (b, a) in d.arcs
-            if fwd == bwd:  # non-adjacent or digon
-                return False
-    return True
+    m = mask_of(s)
+    return _is_semicomplete(d, s) and not any(
+        d.out_masks[v] & d.in_masks[v] & m for v in s  # a digon inside s
+    )
 
 
 def _is_semicomplete(d: Digraph, s) -> bool:
-    s = list(s)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            a, b = s[i], s[j]
-            if (a, b) not in d.arcs and (b, a) not in d.arcs:
-                return False
-    return True
+    m = mask_of(s)
+    return all(m & ~(d.und_masks[v] | 1 << v) == 0 for v in s)
 
 
 def _is_transitive_tournament(d: Digraph, s) -> bool:
@@ -535,6 +526,8 @@ def min_outdegree_witness(d: Digraph, k: int) -> OutDegreeWitness:
     always below n/k."""
     if k < 2:
         raise PreconditionViolated("k must be at least 2")
+    if d.n == 0:
+        raise PreconditionViolated("empty digraph")
     if not d.is_oriented:
         raise PreconditionViolated("digons present")
     flags = check_local_class(d)
@@ -564,6 +557,8 @@ def weighted_out_round_witness(
     """For a strong out-round oriented graph with no directed cycle of
     length at most k and positive vertex weights: some vertex u has
     weighted out-neighbourhood below (W - w(u)) / k."""
+    if d.n == 0:
+        raise PreconditionViolated("empty digraph")
     if len(weights) != d.n or any(w <= 0 for w in weights):
         raise PreconditionViolated("weights must be positive, one per vertex")
     rev = d.reverse()

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from dichroma.colouring import exact_dichromatic
@@ -326,3 +327,62 @@ def test_recognize_k1_exhaustive_reps():
                     and exact_dichromatic(d).value == 2
                 )
                 assert want
+
+
+def _unit_network(d) -> nx.DiGraph:
+    net = nx.DiGraph()
+    net.add_nodes_from(range(d.n))
+    net.add_edges_from(d.arcs, capacity=1)
+    return net
+
+
+def _random_eulerian(rng, n: int):
+    """A strong Eulerian digraph: a Hamiltonian dicycle plus random dicycles
+    (digons among them) on fresh arcs."""
+    perm = rng.sample(range(n), n)
+    arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    for _ in range(rng.randrange(1, 3 * n)):
+        cyc = rng.sample(range(n), rng.randrange(2, n + 1))
+        new = {(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
+        if not new & arcs:
+            arcs |= new
+    return build_digraph(n, arcs)
+
+
+def test_lambda_values_and_least_cuts_match_networkx_flows():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randrange(2, 11)
+        d = helpers.random_digraph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+        net = _unit_network(d)
+        prof = lambda_profile(d)
+        for (u, v), val in prof.values.items():
+            value, flow = nx.maximum_flow(net, u, v)
+            assert val == value == nx.maximum_flow_value(net, u, v)
+            # the least minimum dicut: what the residual digraph reaches from u
+            residual = nx.DiGraph()
+            residual.add_nodes_from(range(n))
+            residual.add_edges_from(
+                (x, y) for x, y in d.arcs if flow[x][y] == 0
+            )
+            residual.add_edges_from((y, x) for x, y in d.arcs if flow[x][y] == 1)
+            side = nx.descendants(residual, u) | {u}
+            assert prof.cuts[(u, v)] == (side, set(range(n)) - side)
+
+
+def test_eulerian_lambda_is_half_the_gomory_hu_cut():
+    rng = random.Random(62)
+    for _ in range(30):
+        d = _random_eulerian(rng, rng.randrange(2, 11))
+        und = nx.Graph()
+        for p, q in d.arcs:
+            if und.has_edge(p, q):
+                und[p][q]["capacity"] += 1
+            else:
+                und.add_edge(p, q, capacity=1)
+        tree = nx.gomory_hu_tree(und)
+        prof = lambda_profile(d)
+        for (u, v), val in prof.values.items():
+            path = nx.shortest_path(tree, u, v)
+            cut = min(tree[a][b]["weight"] for a, b in zip(path, path[1:]))
+            assert 2 * val == cut

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dichroma.colouring import exact_dichromatic, verify_dicolouring
-from dichroma.core import build_digraph, contract, partition
+from dichroma.core import Digraph, build_digraph, contract, partition
 from dichroma.errors import NotStrong, PreconditionViolated
 from dichroma.families import dicycle, out_star, sym_complete, transitive_tournament
 from dichroma.localstruct import (
@@ -250,6 +250,14 @@ def test_min_outdegree_witness_generated():
         assert shortest_dicycle_length(d) >= 4
         w = min_outdegree_witness(d, 3)
         assert w.verdict
+
+
+def test_witnesses_refuse_the_empty_digraph():
+    empty = Digraph(0, frozenset())
+    with pytest.raises(PreconditionViolated):
+        min_outdegree_witness(empty, 3)
+    with pytest.raises(PreconditionViolated):
+        weighted_out_round_witness(empty, [], 3)
 
 
 def test_weighted_out_round_witness():

@@ -1,5 +1,7 @@
 import random
 
+import networkx as nx
+
 from dichroma.matching import exhaustive_max_matching, max_matching
 
 
@@ -39,3 +41,22 @@ def test_blossom_odd_cycles():
     match = max_matching(n, adj)
     size = sum(1 for v in range(n) if match[v] != -1) // 2
     assert size == exhaustive_max_matching(n, edges) == 4
+
+
+def test_blossom_matches_networkx_on_larger_graphs():
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randrange(2, 41)
+        p = rng.choice([0.05, 0.1, 0.2, 0.4])
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        match = max_matching(n, adj)
+        assert all(match[v] == -1 or match[match[v]] == v and match[v] in adj[v] for v in range(n))
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        size = sum(1 for v in range(n) if match[v] != -1) // 2
+        assert size == len(nx.max_weight_matching(g, maxcardinality=True))

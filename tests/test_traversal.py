@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from dichroma.core import (
     bfs_order,
     bfs_path,
     bits,
+    bridge_ends,
     bridges,
     components,
     is_acyclic,
@@ -22,7 +25,9 @@ from dichroma.core import (
     topological_order,
 )
 from dichroma.errors import Disconnected
+from dichroma.extremal import _underlying as underlying_masks
 
+import helpers
 from strategies import digraphs, multigraphs
 
 
@@ -69,6 +74,32 @@ def test_bridges_leave_out_parallel_edges(g):
     found = bridges(g)
     assert len(found) == len(set(found))
     assert {frozenset(g.edges[i]) for i in found} == {frozenset(e) for e in nx.bridges(nxg)}
+
+
+def test_bridge_ends_of_a_digraph_minus_vertices_and_arcs():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(2, 11)
+        d = helpers.random_digraph(rng, n, rng.choice([0.1, 0.2, 0.35]))
+        keep = mask_of(v for v in range(n) if rng.random() < 0.85)
+        arcs = sorted(d.arcs)
+        drop = set(rng.sample(arcs, rng.randrange(min(3, len(arcs)) + 1)))
+        digons = [(p, q) for p, q in arcs if p < q and (q, p) in d.arcs]
+        if digons:  # one arc of one digon and both arcs of another
+            p, q = rng.choice(digons)
+            drop.add(rng.choice([(p, q), (q, p)]))
+            p, q = rng.choice(digons)
+            drop |= {(p, q), (q, p)}
+        left = [a for a in arcs if a not in drop and all(keep >> v & 1 for v in a)]
+        adj, doubled = underlying_masks(d, keep, drop)
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(left)
+        found = bridge_ends(adj, doubled)
+        assert {frozenset(e) for e in found} == {frozenset(e) for e in nx.bridges(nxg)}
+        g = Multigraph(n, tuple(left))
+        assert adj == list(g.masks)
+        assert found == [g.edges[i] for i in bridges(g)]
 
 
 @given(digraphs(max_n=12), st.data())
