@@ -12,6 +12,7 @@ verdict is the conjunction over the children of the first split found.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -81,38 +82,116 @@ class LambdaProfile:
 
     n: int
     values: dict[Arc, int]
-    cuts: dict[Arc, tuple[frozenset[int], frozenset[int]]]
+    cuts: Mapping[Arc, tuple[frozenset[int], frozenset[int]]]
 
     @property
     def value(self) -> int:
         return max(self.values.values(), default=0)
 
     def argmax(self) -> Arc | None:
-        best = None
-        for pair in sorted(self.values):
-            if best is None or self.values[pair] > self.values[best]:
-                best = pair
-        return best
+        values = self.values
+        return min(values, key=lambda p: (-values[p], p), default=None)
+
+
+class _LeastDicuts(Mapping):
+    """cuts[(u, v)] is the least minimum u-v dicut (X, V - X), from one unit
+    max-flow on the first read of the pair, then kept."""
+
+    def __init__(self, d: Digraph):
+        self._d = d
+        self._found: dict[Arc, tuple[frozenset[int], frozenset[int]]] = {}
+
+    def __contains__(self, pair) -> bool:
+        n = self._d.n
+        return (
+            isinstance(pair, tuple)
+            and len(pair) == 2
+            and all(isinstance(x, int) and 0 <= x < n for x in pair)
+            and pair[0] != pair[1]
+        )
+
+    def __getitem__(self, pair) -> tuple[frozenset[int], frozenset[int]]:
+        if pair not in self:
+            raise InvalidInput(f"not an ordered pair of distinct vertices: {pair!r}")
+        if pair not in self._found:
+            side = _maxflow_unit(self._d, *pair)[1]
+            rest = (1 << self._d.n) - 1 & ~side
+            self._found[pair] = (frozenset(bits(side)), frozenset(bits(rest)))
+        return self._found[pair]
+
+    def __iter__(self) -> Iterator[Arc]:
+        n = self._d.n
+        return ((u, v) for u in range(n) for v in range(n) if u != v)
+
+    def __len__(self) -> int:
+        return self._d.n * (self._d.n - 1)
+
+
+def _gusfield_lambda(d: Digraph) -> list[list[int]]:
+    """lambda on an Eulerian digraph from n - 1 flows.  There d+(X) = d-(X)
+    for every X, so the least minimum s-t dicut side is also a minimum s-t
+    cut of the underlying multigraph, which is all Gusfield's equivalent
+    flow tree needs ("Very simple methods for all pairs network flow
+    analysis", 1990); lambda(u, v) is the least weight on the u-v tree
+    path."""
+    n = d.n
+    parent, weight = [0] * n, [0] * n
+    for s in range(1, n):
+        t = parent[s]
+        weight[s], side = _maxflow_unit(d, s, t)
+        for i in range(s + 1, n):
+            if side >> i & 1 and parent[i] == t:
+                parent[i] = s
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s in range(1, n):
+        tree[s].append((parent[s], weight[s]))
+        tree[parent[s]].append((s, weight[s]))
+    lam = []
+    for u in range(n):
+        row = [-1] * n
+        stack = [(u, len(d.arcs))]  # no lambda exceeds the arc count
+        while stack:
+            x, low = stack.pop()
+            row[x] = low
+            stack.extend((y, min(low, w)) for y, w in tree[x] if row[y] < 0)
+        lam.append(row)
+    return lam
+
+
+def _pivot_lambda(d: Digraph, dout: list[int], din: list[int]) -> list[list[int]]:
+    """lambda from the 2(n - 1) flows into and out of a pivot w of largest
+    min(d+, d-): min(lambda(u, w), lambda(w, v)) <= lambda(u, v) <=
+    min(d+(u), d-(v)), and a flow runs only where the bounds differ."""
+    n = d.n
+    lam = [[0] * n for _ in range(n)]
+    w = max(range(n), key=lambda v: (min(dout[v], din[v]), -v))
+    for v in range(n):
+        if v != w:
+            lam[v][w] = _maxflow_unit(d, v, w)[0]
+            lam[w][v] = _maxflow_unit(d, w, v)[0]
+    for u in range(n):
+        for v in range(n):
+            if u != v and w not in (u, v):
+                low = min(lam[u][w], lam[w][v])
+                if low < min(dout[u], din[v]):
+                    low = _maxflow_unit(d, u, v)[0]
+                lam[u][v] = low
+    return lam
 
 
 def lambda_profile(d: Digraph) -> LambdaProfile:
     """Exact local arc-connectivity for every ordered pair, by unit max-flow.
-    cuts[(u, v)] is the least minimum u-v dicut (X, V - X): X is the set the
-    residual digraph of a maximum flow reaches from u."""
-    values: dict[Arc, int] = {}
-    cuts: dict[Arc, tuple[frozenset[int], frozenset[int]]] = {}
-    full = (1 << d.n) - 1
-    for u in range(d.n):
-        for v in range(d.n):
-            if u == v:
-                continue
-            values[(u, v)], side = _maxflow_unit(d, u, v)
-            cuts[(u, v)] = (frozenset(bits(side)), frozenset(bits(full & ~side)))
-    return LambdaProfile(d.n, values, cuts)
-
-
-def lambda_value(d: Digraph, u: int, v: int) -> int:
-    return _maxflow_unit(d, u, v)[0]
+    On an Eulerian digraph n - 1 flows build Gusfield's equivalent flow
+    tree; elsewhere flows into and out of one pivot bound every other pair
+    and a flow runs only where the bounds differ.  cuts[(u, v)] is the
+    least minimum u-v dicut (X, V - X): X is the set the residual digraph of
+    a maximum flow reaches from u.  A cut is computed on its first read."""
+    n = d.n
+    dout = [d.d_plus(v) for v in range(n)]
+    din = [d.d_minus(v) for v in range(n)]
+    lam = _gusfield_lambda(d) if dout == din else _pivot_lambda(d, dout, din)
+    values = {(u, v): lam[u][v] for u in range(n) for v in range(n) if u != v}
+    return LambdaProfile(n, values, _LeastDicuts(d))
 
 
 # ---------------------------------------------------------------------------

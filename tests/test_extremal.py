@@ -4,10 +4,12 @@ import random
 import networkx as nx
 import pytest
 
+from dichroma import extremal
 from dichroma.colouring import exact_dichromatic
 from dichroma.core import build_digraph
 from dichroma.errors import (
     BadEmbeddingOrder,
+    InvalidInput,
     MissingDigon,
     ParityViolated,
     PreconditionViolated,
@@ -370,10 +372,41 @@ def test_lambda_values_and_least_cuts_match_networkx_flows():
             assert prof.cuts[(u, v)] == (side, set(range(n)) - side)
 
 
+def _relabelled(rng, n: int, arcs):
+    perm = rng.sample(range(n), n)
+    return build_digraph(n, {(perm[p], perm[q]) for p, q in arcs})
+
+
+def _k4_chain(rng, count: int):
+    """`count` symmetric K4 joined one by one, each by a directed Hajos join
+    at a random arc of the digraph built so far (3 * count + 1 vertices)."""
+    d = sym_complete(4)
+    for _ in range(count - 1):
+        d = directed_hajos_join(d, rng.choice(sorted(d.arcs)), sym_complete(4), (0, 1))
+    return _relabelled(rng, d.n, d.arcs)
+
+
+def _k4_tree_join(rng, edges: int):
+    """A tree join of symmetric K4 parts along a random tree, with the
+    peripheral dicycle through the leaves in a random order."""
+    tree = [(rng.randrange(c), c) for c in range(1, edges + 1)]
+    parts, nxt = [], edges + 1
+    for u, v in tree:
+        parts.append(k4_arcs([u, v, nxt, nxt + 1]))
+        nxt += 2
+    leaves = [v for v in range(edges + 1) if sum(v in e for e in tree) == 1]
+    rng.shuffle(leaves)
+    d = hajos_tree_join(nxt, tree, parts, leaves, check_embedding=False)
+    return _relabelled(rng, d.n, d.arcs)
+
+
 def test_eulerian_lambda_is_half_the_gomory_hu_cut():
     rng = random.Random(62)
-    for _ in range(30):
-        d = _random_eulerian(rng, rng.randrange(2, 11))
+    eulerian = [_random_eulerian(rng, rng.randrange(2, 11)) for _ in range(30)]
+    eulerian += [_k4_chain(rng, count) for count in (3, 6, 9)]
+    eulerian += [_k4_tree_join(rng, edges) for edges in (4, 7, 9)]
+    for d in eulerian:
+        assert all(d.d_plus(v) == d.d_minus(v) for v in range(d.n))
         und = nx.Graph()
         for p, q in d.arcs:
             if und.has_edge(p, q):
@@ -386,3 +419,63 @@ def test_eulerian_lambda_is_half_the_gomory_hu_cut():
             path = nx.shortest_path(tree, u, v)
             cut = min(tree[a][b]["weight"] for a, b in zip(path, path[1:]))
             assert 2 * val == cut
+
+
+def test_lambda_profile_flow_counts(monkeypatch):
+    calls = []
+    flow = extremal._maxflow_unit
+
+    def spy(d, s, t):
+        calls.append((s, t))
+        return flow(d, s, t)
+
+    monkeypatch.setattr(extremal, "_maxflow_unit", spy)
+    chain = _k4_chain(random.Random(70), 7)
+    assert chain.n == 22
+    prof = lambda_profile(chain)
+    assert len(calls) == chain.n - 1  # Eulerian: one flow per tree edge
+    pair = prof.argmax()
+    side, rest = prof.cuts[pair]
+    assert len(calls) == chain.n  # a cut costs one flow on its first read
+    assert prof.cuts[pair] == (side, rest) and len(calls) == chain.n
+    assert sum(1 for p, q in chain.arcs if p in side and q in rest) == prof.values[pair]
+
+    rng = random.Random(71)
+    d = helpers.random_digraph(rng, 14, 0.35)
+    while min(map(d.d_min, range(d.n))) < 2 or all(
+        d.d_plus(v) == d.d_minus(v) for v in range(d.n)
+    ):
+        d = helpers.random_digraph(rng, 14, 0.35)
+    calls.clear()
+    lambda_profile(d)
+    assert 2 * (d.n - 1) <= len(calls) < d.n * (d.n - 1)
+
+
+def test_non_eulerian_lambda_matches_networkx_flows():
+    rng = random.Random(73)
+    done = 0
+    while done < 6:
+        n = rng.randrange(12, 21)
+        d = helpers.random_digraph(rng, n, rng.choice([0.2, 0.3, 0.45]))
+        if min(map(d.d_min, range(n))) < 2 or all(
+            d.d_plus(v) == d.d_minus(v) for v in range(n)
+        ):
+            continue
+        net = _unit_network(d)
+        prof = lambda_profile(d)
+        assert list(prof.values) == [(u, v) for u in range(n) for v in range(n) if u != v]
+        for (u, v), val in prof.values.items():
+            assert val == nx.maximum_flow_value(net, u, v)
+        done += 1
+
+
+def test_lambda_cuts_cover_every_ordered_pair():
+    d = helpers.random_digraph(random.Random(74), 6, 0.5)
+    cuts = lambda_profile(d).cuts
+    pairs = [(u, v) for u in range(6) for v in range(6) if u != v]
+    assert len(cuts) == 30 and list(cuts) == pairs
+    assert (2, 2) not in cuts and (0, 6) not in cuts and (1, 0) in cuts
+    for bad in [(2, 2), (0, 6), (-1, 3), (0, 1, 2), "01"]:
+        with pytest.raises(InvalidInput):
+            cuts[bad]
+    assert lambda_profile(build_digraph(1, [])).cuts == {}
