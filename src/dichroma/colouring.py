@@ -363,13 +363,18 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
     with bounds that hold for the whole input: the lower bound is the
     largest of every solved component's value, every component's cheap
     lower bound and the k under test (every smaller k was refuted); the
-    upper bound is the largest greedy bound over the components.
+    upper bound is the largest greedy bound over the components.  When the
+    two meet, that is the value instead, witnessed by the solved
+    components' colourings and the greedy colourings of the rest.
     """
     if d.n == 0:
         return ExactResult(0, Dicolouring((), 0))
     comps = [d.induced(sorted(comp)) for comp in strong_components(d).parts]
     bounds = [_cheap_bounds(sub) for sub, _ in comps]
-    colour = [1] * d.n
+    colour = [0] * d.n
+    for (_, labels), (_, greedy) in zip(comps, bounds):
+        for i, v in enumerate(labels):
+            colour[v] = greedy.colours[i]
     best = 1
     steps = Budget(budget)
     for (sub, labels), (lb, greedy) in zip(comps, bounds):
@@ -377,7 +382,10 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
             val, cols = _exact_component(sub, lb, greedy, steps)
         except BudgetExceeded as exc:
             lower = max([best, exc.lower] + [b[0] for b in bounds])
-            raise BudgetExceeded(lower, max(b[1].k for b in bounds)) from None
+            upper = max(b[1].k for b in bounds)
+            if lower < upper:
+                raise BudgetExceeded(lower, upper) from None
+            return ExactResult(upper, Dicolouring(tuple(colour), upper))
         best = max(best, val)
         for i, v in enumerate(labels):
             colour[v] = cols[i]

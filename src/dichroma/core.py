@@ -399,6 +399,42 @@ def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, i
     ]
 
 
+def cut_labels(
+    adj: Sequence[int], doubled: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """The cycle-space label of every edge copy of the multigraph with
+    neighbourhood bitsets `adj` and `doubled` (as for `bridge_ends`), as
+    (lesser end, greater end, label): first the tree edges of the lowpoint
+    search in the order it leaves them, then the other copies in ascending
+    end order, so the two copies of a doubled edge come in that order.
+
+    Each copy outside the tree gets a bit of its own.  The tree edge above
+    v gets the XOR of the bits at the vertices of v's subtree: the copies
+    whose fundamental cycle runs through it.  So an edge is a bridge iff
+    its label is 0, and two edges form a 2-edge cut iff they carry the same
+    non-zero label (Pritchard & Thurimella 2011, with exact labels in place
+    of random ones).
+    """
+    tree = _lowpoint_dfs(adj, doubled)
+    in_tree = {(min(p, v), max(p, v)) for p, v, _, _ in tree}
+    at = [0] * len(adj)  # per vertex: XOR of the bits of its non-tree copies
+    others = []
+    bit = 1
+    for v, nbrs in enumerate(adj):
+        for w in bits(nbrs >> v + 1 << v + 1):
+            copies = 1 + (doubled[v] >> w & 1) - ((v, w) in in_tree)
+            for _ in range(copies):
+                at[v] ^= bit
+                at[w] ^= bit
+                others.append((v, w, bit))
+                bit <<= 1
+    out = []
+    for p, v, _, _ in tree:  # post-order: v's subtree is summed into at[v]
+        at[p] ^= at[v]
+        out.append((min(p, v), max(p, v), at[v]))
+    return out + others
+
+
 def bridges(g: Multigraph) -> list[int]:
     """Indices of the bridges of g, in the order of `bridge_ends`."""
     index: dict[tuple[int, int], int] = {}

@@ -27,6 +27,7 @@ from .core import (
     bridge_ends,
     build_digraph,
     components,
+    cut_labels,
     mask_of,
     reach,
 )
@@ -765,19 +766,47 @@ def _find_directed_split(d: Digraph) -> Found | None:
     return None
 
 
+def _star_forests(d: Digraph, keep: int) -> Iterator[tuple[Arc, list[int]]]:
+    """For each arc of d inside the vertex bitset keep, in sorted order, the
+    bridges of the underlying multigraph of d on keep minus that arc, as
+    neighbourhood bitsets.  One `cut_labels` serves every arc: dropping an
+    edge copy with label 0 drops a bridge, and dropping one with a non-zero
+    label makes bridges of the other copies in its label class.  Of a digon
+    one arc goes, so the label read is that of the copy outside the tree."""
+    label_of: dict[tuple[int, int], int] = {}
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for a, b, label in cut_labels(*_underlying(d, keep, ())):
+        label_of[a, b] = label  # a digon's non-tree copy comes last
+        classes.setdefault(label, []).append((a, b))
+    base = [0] * d.n
+    for a, b in classes.get(0, ()):
+        base[a] |= 1 << b
+        base[b] |= 1 << a
+    for pl, p1 in d.sorted_arcs():
+        if not (keep >> pl & 1 and keep >> p1 & 1):
+            continue
+        edge = (min(pl, p1), max(pl, p1))
+        label = label_of[edge]
+        forest = base[:]
+        if label == 0:
+            forest[pl] &= ~(1 << p1)
+            forest[p1] &= ~(1 << pl)
+        else:
+            cut_mates = classes[label][:]
+            cut_mates.remove(edge)  # one copy: the other may stay a bridge
+            for a, b in cut_mates:
+                forest[a] |= 1 << b
+                forest[b] |= 1 << a
+        yield (pl, p1), forest
+
+
 def _find_star_split(d: Digraph) -> Found | None:
     """Star split: centre y plus a rim dicycle traced through the bridges
     of d minus y minus the closing arc."""
     full = (1 << d.n) - 1
     for y in range(d.n):
         keep = full & ~(1 << y)
-        for pl, p1 in d.sorted_arcs():
-            if y in (pl, p1):
-                continue
-            forest = [0] * d.n
-            for a, b in bridge_ends(*_underlying(d, keep, [(pl, p1)])):
-                forest[a] |= 1 << b
-                forest[b] |= 1 << a
+        for (pl, p1), forest in _star_forests(d, keep):
             if not forest[p1] or not forest[pl]:
                 continue
             path = bfs_path(forest, full, p1, pl)

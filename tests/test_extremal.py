@@ -211,6 +211,34 @@ def test_recognizer_star_join():
     assert not recognize_k_extremal(star.remove_arcs([arc]), 3).extremal
 
 
+def test_star_split_reads_one_cut_labelling_per_centre(monkeypatch):
+    # the centre comes last, so every centre is tried; one bridge search
+    # per centre and arc made 246 searches here
+    star = hajos_star_join(
+        10,
+        9,
+        [1, 2, 3],
+        [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
+    )
+    searches = []
+    labellings = []
+    bridge_ends, cut_labels = extremal.bridge_ends, extremal.cut_labels
+
+    def bridge_spy(adj, doubled):
+        searches.append(adj)
+        return bridge_ends(adj, doubled)
+
+    def label_spy(adj, doubled):
+        labellings.append(adj)
+        return cut_labels(adj, doubled)
+
+    monkeypatch.setattr(extremal, "bridge_ends", bridge_spy)
+    monkeypatch.setattr(extremal, "cut_labels", label_spy)
+    kind, witness, children = extremal._find_star_split(star)
+    assert kind == extremal.JOIN_STAR and witness["centre"] == 9
+    assert searches == [] and len(labellings) <= star.n
+
+
 def test_check_extremal_necessary():
     rep = check_extremal_necessary(sym_complete(4), 3)
     assert rep.all_pass and rep.lambda_value == 3

@@ -17,6 +17,7 @@ from dichroma.core import (
     bridge_ends,
     bridges,
     components,
+    cut_labels,
     is_acyclic,
     mask_of,
     reach,
@@ -25,7 +26,7 @@ from dichroma.core import (
     topological_order,
 )
 from dichroma.errors import Disconnected
-from dichroma.extremal import _underlying as underlying_masks
+from dichroma.extremal import _star_forests, _underlying as underlying_masks
 
 import helpers
 from strategies import digraphs, multigraphs
@@ -100,6 +101,83 @@ def test_bridge_ends_of_a_digraph_minus_vertices_and_arcs():
         g = Multigraph(n, tuple(left))
         assert adj == list(g.masks)
         assert found == [g.edges[i] for i in bridges(g)]
+
+
+def _doubled_multigraphs(seed, count):
+    """Seeded digraphs on at most 12 vertices, read as multigraphs whose
+    digons are doubled edges; sparse ones are often disconnected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 13)
+        p, q = rng.choice([0.12, 0.25, 0.4]), rng.choice([0.0, 0.2, 0.45])
+        arcs = []
+        for u in range(n):
+            for w in range(u + 1, n):
+                r = rng.random()
+                if r < p * q:
+                    arcs += [(u, w), (w, u)]
+                elif r < p:
+                    arcs.append((u, w) if rng.random() < 0.5 else (w, u))
+        yield Digraph(n, frozenset(arcs))
+
+
+def _component_count(n, edges):
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return nx.number_connected_components(g)
+
+
+def _brute_bridges(n, copies):
+    """The end pairs of the edge copies whose removal adds a component."""
+    base = _component_count(n, copies)
+    return {
+        copies[i] for i in range(len(copies))
+        if _component_count(n, copies[:i] + copies[i + 1:]) > base
+    }
+
+
+def test_cut_labels_give_bridges_and_two_edge_cuts():
+    disconnected = 0
+    for d in _doubled_multigraphs(11, 60):
+        full = (1 << d.n) - 1
+        labels = cut_labels(*underlying_masks(d, full, ()))
+        copies = [(a, b) for a, b, _ in labels]
+        assert sorted(copies) == sorted((min(a), max(a)) for a in d.arcs)
+        assert all(a < b for a, b in copies)
+        assert {e for e, (_, _, label) in zip(copies, labels) if label == 0} == (
+            _brute_bridges(d.n, copies)
+        )
+        # two copies, neither a bridge, whose removal adds a component
+        base = _component_count(d.n, copies)
+        disconnected += base > 1
+        for i, (_, _, first) in enumerate(labels):
+            for j in range(i + 1, len(labels)):
+                rest = copies[:i] + copies[i + 1:j] + copies[j + 1:]
+                second = labels[j][2]
+                cut = first != 0 and second != 0 and _component_count(d.n, rest) > base
+                assert (first != 0 and first == second) == cut
+    assert disconnected > 0
+
+
+def test_bridges_less_one_edge_copy_from_cut_labels():
+    # every arc is one edge copy: of a digon, one of two parallel copies
+    probes = 0
+    rng = random.Random(13)
+    for d in _doubled_multigraphs(12, 120):
+        full = (1 << d.n) - 1
+        keep = full & ~(1 << rng.randrange(d.n)) if rng.random() < 0.5 else full
+        inside = sorted(a for a in d.arcs if keep >> a[0] & 1 and keep >> a[1] & 1)
+        forests = list(_star_forests(d, keep))
+        assert [arc for arc, _ in forests] == inside
+        for i, (arc, forest) in enumerate(forests):
+            got = {(a, b) for a in range(d.n) for b in bits(forest[a]) if a < b}
+            adj, doubled = underlying_masks(d, keep, [arc])
+            assert got == set(bridge_ends(adj, doubled))
+            rest = [(min(a), max(a)) for a in inside[:i] + inside[i + 1:]]
+            assert got == _brute_bridges(d.n, rest)
+            probes += 1
+    assert probes > 1000
 
 
 @given(digraphs(max_n=12), st.data())
