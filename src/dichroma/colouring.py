@@ -351,13 +351,14 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
     Solves each strong component separately (the dichromatic number is the
     maximum over strong components, and classes can be shared across
     them).  Per component: iterative deepening on k with a deterministic
-    branch-and-bound over vertices in reverse degeneracy order and symmetry
-    breaking on first use of each colour.  Each class keeps its internal
-    reachability bitsets and each uncoloured vertex its set of colours
-    still open, so an insertion updates both with a few word operations
-    per vertex instead of re-checking whole classes for acyclicity.  On
-    more than ten vertices a branch is cut as soon as a later vertex has
-    no open colour left.
+    DSATUR branch-and-bound, which colours next the uncoloured vertex with
+    the fewest open colours (ties: most neighbours, then least index), and
+    symmetry breaking on first use of each colour.  Each class keeps its
+    internal reachability bitsets and each uncoloured vertex its set of
+    colours still open, so an insertion updates both with a few word
+    operations per vertex instead of re-checking whole classes for
+    acyclicity.  A branch is cut as soon as an uncoloured vertex has no
+    open colour left.
 
     `budget` caps total search nodes.  Exhausting it raises BudgetExceeded
     with bounds that hold for the whole input: the lower bound is the
@@ -390,21 +391,6 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
         for i, v in enumerate(labels):
             colour[v] = cols[i]
     return ExactResult(best, Dicolouring(tuple(colour), best))
-
-
-def _degeneracy_order(d: Digraph) -> list[int]:
-    """Repeatedly remove a min-total-degree vertex; returns removal order."""
-    deg = [len(d.und_sets[v]) for v in range(d.n)]
-    alive = set(range(d.n))
-    order = []
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        order.append(v)
-        alive.remove(v)
-        for w in d.und_sets[v]:
-            if w in alive:
-                deg[w] -= 1
-    return order
 
 
 def _digon_clique_bound(d: Digraph) -> list[int]:
@@ -441,23 +427,24 @@ def _exact_component(
     ub = greedy.k
     if lb >= ub:
         return ub, list(greedy.colours)
-    order = list(reversed(_degeneracy_order(d)))
     for k in range(lb, ub):
-        cols = _feasible_k(d, order, k, steps)
+        cols = _feasible_k(d, k, steps)
         if cols is not None:
             return k, cols
     return ub, list(greedy.colours)
 
 
-def _feasible_k(
-    d: Digraph, order: list[int], k: int, steps: Budget
-) -> list[int] | None:
-    """Depth-first search for a k-dicolouring along a fixed vertex order.
-    One step per search node; k is the value under test, so every smaller
-    one was refuted and k bounds the component from below."""
+def _feasible_k(d: Digraph, k: int, steps: Budget) -> list[int] | None:
+    """Depth-first search for a k-dicolouring that branches on the most
+    constrained vertex (DSATUR, Brelaz 1979): the uncoloured vertex with
+    the fewest open colours among those a branch may try, then the one
+    with the most neighbours, then the least index.  One step per search
+    node; k is the value under test, so every smaller one was refuted and
+    k bounds the component from below."""
     n = d.n
     out_masks = d.out_masks
     in_masks = d.in_masks
+    minus_degree = [-m.bit_count() for m in d.und_masks]
     colour = [0] * n
     # Invariants at every node of the search, for each colour c:
     # - members[c] lists the vertices of class c, and reach[c][x] is the
@@ -470,14 +457,16 @@ def _feasible_k(
     members: list[list[int]] = [[] for _ in range(k + 1)]
     reach = [[0] * n for _ in range(k + 1)]
     dom = [(1 << (k + 1)) - 2] * n
-    forward_check = n > 10
 
-    def dfs(i: int, used: int) -> bool:
-        if i == n:
+    def dfs(rest: list[int], used: int) -> bool:
+        if not rest:
             return True
         steps.tick(k)
-        v = order[i]
         top = min(used + 1, k)
+        t1 = (1 << (top + 1)) - 2
+        # rest ascends, so min breaks the remaining ties by index
+        v = min(rest, key=lambda w: ((dom[w] & t1).bit_count(), minus_degree[w]))
+        later = [w for w in rest if w != v]
         inv = in_masks[v]
         outv = out_masks[v]
         for c in range(1, top + 1):
@@ -496,18 +485,18 @@ def _feasible_k(
                 if rx & inv:
                     above |= 1 << x
                     gainers.append(x)
-            # A later w loses colour c iff it closes a dicycle through v:
-            # an arc from w into `above` and one from `reach_v` into w.
+            # An uncoloured w loses colour c iff it closes a dicycle through
+            # v: an arc from w into `above` and one from `reach_v` into w.
             # Only such a w can run out of colours in 1..t2: t2 never
             # shrinks down a branch, and every other w passed one level up.
             t2 = (1 << (min(max(used, c) + 1, k) + 1)) - 2
             cleared = []
             ok = True
-            for w in order[i + 1:]:
+            for w in later:
                 if dom[w] & bit and in_masks[w] & reach_v and out_masks[w] & above:
                     dom[w] ^= bit
                     cleared.append(w)
-                    if forward_check and not dom[w] & t2:
+                    if not dom[w] & t2:
                         ok = False
                         break
             if ok:
@@ -518,7 +507,7 @@ def _feasible_k(
                 reach[c] = new_row
                 members[c].append(v)
                 colour[v] = c
-                if dfs(i + 1, max(used, c)):
+                if dfs(later, max(used, c)):
                     return True
                 colour[v] = 0
                 members[c].pop()
@@ -527,6 +516,6 @@ def _feasible_k(
                 dom[w] |= bit
         return False
 
-    if dfs(0, 0):
+    if dfs(list(range(n)), 0):
         return colour
     return None

@@ -26,6 +26,7 @@ from .core import (
 )
 from .errors import (
     BadParameters,
+    DichromaError,
     Disconnected,
     EvenD,
     FallbackToExact,
@@ -42,9 +43,6 @@ from .vizing import vizing_colour
 class EdgeColouring:
     colours: tuple[int, ...]
     k: int
-
-    def used(self) -> int:
-        return len(set(self.colours))
 
 
 @dataclass(frozen=True)
@@ -708,7 +706,7 @@ def _replace_side_and_colour(
     edges += sh_edges
     try:
         g2 = build_multigraph(len(kept) + 2, edges)
-    except Exception:
+    except DichromaError:
         return None
     try:
         cols = _colour_regular_odd(g2, d, k, depth + 1)

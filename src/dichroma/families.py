@@ -12,10 +12,6 @@ def dicycle(n: int) -> Digraph:
     return build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def dipath(n: int) -> Digraph:
-    return build_digraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def transitive_tournament(n: int) -> Digraph:
     return build_digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

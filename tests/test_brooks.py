@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dichroma import brooks
 from dichroma.brooks import (
     EXC_DIRECTED_CYCLE,
     EXC_SYMMETRIC_COMPLETE,
@@ -99,6 +100,41 @@ def test_brooks_colour_regular_cases():
     # symmetric even cycles have no splitting triple but stay within bound
     res2 = brooks_colour(sym_cycle(6))
     assert verify_dicolouring(sym_cycle(6), res2).valid and res2.k <= 2
+
+
+def _k5_minus_edge_pair():
+    """Two copies of the symmetric K5 minus an edge ab, each with its a and
+    b joined by digons to one shared vertex: 11 vertices, 4-regular, and
+    the shared vertex cuts it."""
+    edges = []
+    for base in (0, 5):
+        a, b = base, base + 1
+        five = range(base, base + 5)
+        edges += [(u, v) for u in five for v in five if u < v and (u, v) != (a, b)]
+        edges += [(a, 10), (b, 10)]
+    return build_digraph(11, edges + [(v, u) for u, v in edges])
+
+
+def test_brooks_colour_merges_blocks(monkeypatch):
+    d = _k5_minus_edge_pair()
+    assert d.delta_max == 4 and not d.is_biconnected
+    assert all(d.d_plus(v) == d.d_minus(v) == 4 for v in range(d.n))
+    merges = []
+    merge = brooks._merge_blocks
+
+    def spy(sub, k):
+        merges.append(sub.n)
+        return merge(sub, k)
+
+    monkeypatch.setattr(brooks, "_merge_blocks", spy)
+    for seed in range(50):
+        rng = random.Random(seed)
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        e = build_digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+        res = brooks_colour(e)
+        assert verify_dicolouring(e, res).valid and res.k <= 4
+    assert merges == [11] * 50
 
 
 def test_deltamin_gadget_shape():

@@ -2,9 +2,12 @@
 `python -O` (no assert), and the CLI turns every failure into a JSON error
 (every raise is of a DichromaError subclass, which `cli.main` catches).
 A third keeps every module's dependencies in its header: no import sits
-inside a function."""
+inside a function.  A fourth keeps handlers narrow: no `except` is bare or
+catches Exception or BaseException, which would swallow programming errors
+and interrupts along with the toolkit's own."""
 
 import ast
+import builtins
 import importlib
 import pathlib
 
@@ -54,4 +57,24 @@ def _function_imports(path):
 
 def test_no_import_inside_a_function():
     found = sorted({v for path in SOURCES for v in _function_imports(path)})
+    assert found == []
+
+
+def _broad_handlers(path):
+    namespace = {**vars(builtins), **vars(importlib.import_module(f"dichroma.{path.stem}"))}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        where = f"{path.name}:{node.lineno}"
+        if node.type is None:
+            yield f"{where}: bare except"
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for exc in caught:
+            if _resolve(exc, namespace) in (Exception, BaseException):
+                yield f"{where}: catches {ast.unparse(exc)}"
+
+
+def test_no_bare_or_catch_all_except():
+    found = [v for path in SOURCES for v in _broad_handlers(path)]
     assert found == []
