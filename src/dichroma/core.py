@@ -387,16 +387,25 @@ def _lowpoint_dfs(
     return out
 
 
-def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, int]]:
+def bridge_sides(
+    adj: Sequence[int], doubled: Sequence[int]
+) -> dict[tuple[int, int], int]:
     """The bridges of the multigraph with neighbourhood bitsets `adj`, as
     (lesser, greater) end pairs in the order the lowpoint search finds them
-    (Tarjan 1974).  `doubled[v]` holds the neighbours joined to v by more
-    than one edge; such an edge is never a bridge."""
-    return [
-        (min(p, v), max(p, v))
-        for p, v, gap, _ in _lowpoint_dfs(adj, doubled)
+    (Tarjan 1974), each mapped to the vertex bitset of its deeper end's
+    side: what the bridge cuts off from the rest of its component.
+    `doubled[v]` holds the neighbours joined to v by more than one edge;
+    such an edge is never a bridge."""
+    return {
+        (min(p, v), max(p, v)): sub
+        for p, v, gap, sub in _lowpoint_dfs(adj, doubled)
         if gap > 0
-    ]
+    }
+
+
+def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, int]]:
+    """The end pairs of `bridge_sides`, in its order."""
+    return list(bridge_sides(adj, doubled))
 
 
 def cut_labels(

@@ -24,7 +24,7 @@ from .core import (
     bfs,
     bfs_path,
     bits,
-    bridge_ends,
+    bridge_sides,
     build_digraph,
     components,
     cut_labels,
@@ -161,21 +161,36 @@ def _gusfield_lambda(d: Digraph) -> list[list[int]]:
 
 def _pivot_lambda(d: Digraph, dout: list[int], din: list[int]) -> list[list[int]]:
     """lambda from the 2(n - 1) flows into and out of a pivot w of largest
-    min(d+, d-): min(lambda(u, w), lambda(w, v)) <= lambda(u, v) <=
-    min(d+(u), d-(v)), and a flow runs only where the bounds differ."""
+    min(d+, d-), which give min(lambda(u, w), lambda(w, v)) <= lambda(u, v).
+    Above, lambda(u, v) <= min(d+(u), d-(v)), and every flow's least cut
+    (X, V - X) of value f gives lambda(a, b) <= f for a in X and b not in X
+    (the cut reuse of Gomory & Hu 1961).  Pairs in ascending order; a pair
+    gets its own flow only where its lower bound is below every upper one."""
     n = d.n
+    full = (1 << n) - 1
     lam = [[0] * n for _ in range(n)]
+    # apart[a][f]: the vertices some least cut of value f has a apart from
+    apart: list[dict[int, int]] = [{} for _ in range(n)]
+
+    def flow(s: int, t: int) -> int:
+        f, side = _maxflow_unit(d, s, t)
+        for a in bits(side):
+            apart[a][f] = apart[a].get(f, 0) | full & ~side
+        return f
+
     w = max(range(n), key=lambda v: (min(dout[v], din[v]), -v))
     for v in range(n):
         if v != w:
-            lam[v][w] = _maxflow_unit(d, v, w)[0]
-            lam[w][v] = _maxflow_unit(d, w, v)[0]
+            lam[v][w] = flow(v, w)
+            lam[w][v] = flow(w, v)
     for u in range(n):
         for v in range(n):
             if u != v and w not in (u, v):
                 low = min(lam[u][w], lam[w][v])
-                if low < min(dout[u], din[v]):
-                    low = _maxflow_unit(d, u, v)[0]
+                if low < min(dout[u], din[v]) and not any(
+                    f <= low and rest >> v & 1 for f, rest in apart[u].items()
+                ):
+                    low = flow(u, v)
                 lam[u][v] = low
     return lam
 
@@ -184,9 +199,10 @@ def lambda_profile(d: Digraph) -> LambdaProfile:
     """Exact local arc-connectivity for every ordered pair, by unit max-flow.
     On an Eulerian digraph n - 1 flows build Gusfield's equivalent flow
     tree; elsewhere flows into and out of one pivot bound every other pair
-    and a flow runs only where the bounds differ.  cuts[(u, v)] is the
-    least minimum u-v dicut (X, V - X): X is the set the residual digraph of
-    a maximum flow reaches from u.  A cut is computed on its first read."""
+    from below, the degrees and every least cut found so far bound it from
+    above, and a flow runs only where the bounds differ.  cuts[(u, v)] is
+    the least minimum u-v dicut (X, V - X): X is the set the residual digraph
+    of a maximum flow reaches from u.  A cut is computed on its first read."""
     n = d.n
     dout = [d.d_plus(v) for v in range(n)]
     din = [d.d_minus(v) for v in range(n)]
@@ -708,9 +724,9 @@ def _underlying(
     d: Digraph, keep: int, drop: Collection[Arc]
 ) -> tuple[list[int], list[int]]:
     """Underlying multigraph of d on the vertex bitset keep, without the
-    arcs in drop, as (adj, doubled) bitsets for `bridge_ends`: adj[v] holds
-    v's neighbours, doubled[v] those still joined to v by both arcs of a
-    digon."""
+    arcs in drop, as (adj, doubled) bitsets for `bridge_sides` and
+    `cut_labels`: adj[v] holds v's neighbours, doubled[v] those still
+    joined to v by both arcs of a digon."""
     adj = [m & keep if keep >> v & 1 else 0 for v, m in enumerate(d.und_masks)]
     doubled = [o & i & a for o, i, a in zip(d.out_masks, d.in_masks, adj)]
     for p, q in drop:
@@ -742,28 +758,50 @@ def _verify_split(d: Digraph, kind: str, witness: dict, children: list[Child]) -
 
 
 def _find_directed_split(d: Digraph) -> Found | None:
-    """First (lex by (u, w, v)) directed-join split, replay-verified."""
+    """First (lex by (u, w, v)) directed-join split, replay-verified.
+
+    (u, w, v) splits d exactly when v is not u or w, neither (u, v),
+    (v, w) nor (w, u) is an arc, d - v is connected and u-w is a bridge of
+    its underlying multigraph: then d - v - uw has two components, one
+    holding u and one holding w.  So one bridge search per vertex v, run
+    on the first arc that needs it, serves every arc."""
     full = (1 << d.n) - 1
+    sides: dict[int, dict[Arc, int]] = {}  # per v; empty where d - v is split
     for u, w in d.sorted_arcs():
-        adj, _ = _underlying(d, full, [(u, w)])
-        for v in range(d.n):
-            if v == u or v == w:
+        if (w, u) in d.arcs:
+            continue
+        free = full & ~(d.out_masks[u] | d.in_masks[w] | 1 << u | 1 << w)
+        for v in bits(free):
+            keep = full & ~(1 << v)
+            if v not in sides:
+                adj, doubled = _underlying(d, keep, ())
+                joined = reach(adj, keep, keep & -keep) == keep
+                sides[v] = bridge_sides(adj, doubled) if joined else {}
+            side = sides[v].get((min(u, w), max(u, w)))
+            if side is None:
                 continue
-            if (u, v) in d.arcs or (v, w) in d.arcs:
-                continue
-            comps = components(adj, full & ~(1 << v))
-            if len(comps) != 2:
-                continue
-            cu = next(c for c in comps if c >> u & 1)
-            cw = next(c for c in comps if c >> w & 1)
-            if cu == cw:
-                continue
+            cu, cw = (side, keep & ~side) if side >> u & 1 else (keep & ~side, side)
             ch1 = _child_plus(d, bits(cu | 1 << v), [(u, v)])
             ch2 = _child_plus(d, bits(cw | 1 << v), [(v, w)])
             witness = {"u": u, "v": v, "w": w}
             if _verify_split(d, JOIN_DIRECTED, witness, [ch1, ch2]):
                 return JOIN_DIRECTED, witness, [ch1, ch2]
     return None
+
+
+def _cut_classes(
+    d: Digraph, keep: int
+) -> tuple[dict[tuple[int, int], int], dict[int, list[tuple[int, int]]]]:
+    """One `cut_labels` of the underlying multigraph of d on the vertex
+    bitset keep: the label of each edge (lesser end first; of a digon, that
+    of its copy outside the tree, which comes last) and the edge copies of
+    each label, in the order `cut_labels` gives them."""
+    label_of: dict[tuple[int, int], int] = {}
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for a, b, label in cut_labels(*_underlying(d, keep, ())):
+        label_of[a, b] = label
+        classes.setdefault(label, []).append((a, b))
+    return label_of, classes
 
 
 def _star_forests(d: Digraph, keep: int) -> Iterator[tuple[Arc, list[int]]]:
@@ -773,11 +811,7 @@ def _star_forests(d: Digraph, keep: int) -> Iterator[tuple[Arc, list[int]]]:
     edge copy with label 0 drops a bridge, and dropping one with a non-zero
     label makes bridges of the other copies in its label class.  Of a digon
     one arc goes, so the label read is that of the copy outside the tree."""
-    label_of: dict[tuple[int, int], int] = {}
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for a, b, label in cut_labels(*_underlying(d, keep, ())):
-        label_of[a, b] = label  # a digon's non-tree copy comes last
-        classes.setdefault(label, []).append((a, b))
+    label_of, classes = _cut_classes(d, keep)
     base = [0] * d.n
     for a, b in classes.get(0, ()):
         base[a] |= 1 << b
@@ -874,38 +908,42 @@ def _parallel_with_junctions(d: Digraph, a: int, b: int, comps) -> Found | None:
 def _parallel_cut_search(
     d: Digraph, a: int, b: int, s_comp: int, b_union: int
 ) -> Found | None:
-    # fully degenerate crossing: the two crossing arcs form a digon
-    for p, q in d.sorted_arcs():
-        if p < q and s_comp >> p & 1 and s_comp >> q & 1 and (q, p) in d.arcs:
-            e, f = (p, q), (q, p)
-            parts = components(_underlying(d, s_comp, [e, f])[0], s_comp)
-            if len(parts) != 2:
+    """The first pair of crossing arcs e, f inside s_comp that validates.
+    Every candidate is a 2-edge cut of s_comp, read from one `cut_labels`:
+    two edge copies with one non-zero label.  First the digons whose two
+    copies form such a cut (a fully degenerate crossing), then each arc e
+    without a reverse arc, in sorted order, with the mates of its label
+    (a bridge f of s_comp leaves both ends of e on one side)."""
+    arcs = [(p, q) for p, q in d.sorted_arcs() if s_comp >> p & 1 and s_comp >> q & 1]
+    if not arcs:
+        return None
+    label_of, mates = _cut_classes(d, s_comp)
+
+    def candidates() -> Iterator[tuple[Arc, Arc]]:
+        for p, q in arcs:
+            if p < q and (q, p) in d.arcs and mates[label_of[p, q]].count((p, q)) == 2:
+                yield (p, q), (q, p)
+        seen_pairs: set[frozenset[Arc]] = set()
+        for e in arcs:
+            label = label_of[min(e), max(e)]
+            if (e[1], e[0]) in d.arcs or not label:
                 continue
-            found = _validate_parallel(d, a, b, e, f, parts, b_union)
-            if found is not None:
-                return found
-    # candidate crossing arcs: inside the component, no reverse arc
-    inner = [
-        (p, q)
-        for p, q in d.sorted_arcs()
-        if s_comp >> p & 1 and s_comp >> q & 1 and (q, p) not in d.arcs
-    ]
-    seen_pairs: set[frozenset[Arc]] = set()
-    for e in inner:
-        for p, q in bridge_ends(*_underlying(d, s_comp, [e])):
-            f = (p, q) if (p, q) in d.arcs else (q, p)
-            if f == e or (f[1], f[0]) in d.arcs:
-                continue
-            key = frozenset({e, f})
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            parts = components(_underlying(d, s_comp, [e, f])[0], s_comp)
-            if len(parts) != 2:
-                continue
-            found = _validate_parallel(d, a, b, e, f, parts, b_union)
-            if found is not None:
-                return found
+            for p, q in mates[label]:
+                f = (p, q) if (p, q) in d.arcs else (q, p)
+                if f == e or (f[1], f[0]) in d.arcs:
+                    continue
+                key = frozenset({e, f})
+                if key not in seen_pairs:
+                    seen_pairs.add(key)
+                    yield e, f
+
+    for e, f in candidates():
+        parts = components(_underlying(d, s_comp, [e, f])[0], s_comp)
+        if len(parts) != 2:
+            continue
+        found = _validate_parallel(d, a, b, e, f, parts, b_union)
+        if found is not None:
+            return found
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dichroma import extremal
 from dichroma.colouring import exact_dichromatic
-from dichroma.core import build_digraph
+from dichroma.core import bits, bridge_ends, build_digraph, components
 from dichroma.errors import (
     BadEmbeddingOrder,
     InvalidInput,
@@ -222,21 +222,172 @@ def test_star_split_reads_one_cut_labelling_per_centre(monkeypatch):
     )
     searches = []
     labellings = []
-    bridge_ends, cut_labels = extremal.bridge_ends, extremal.cut_labels
+    bridge_sides, cut_labels = extremal.bridge_sides, extremal.cut_labels
 
     def bridge_spy(adj, doubled):
         searches.append(adj)
-        return bridge_ends(adj, doubled)
+        return bridge_sides(adj, doubled)
 
     def label_spy(adj, doubled):
         labellings.append(adj)
         return cut_labels(adj, doubled)
 
-    monkeypatch.setattr(extremal, "bridge_ends", bridge_spy)
+    monkeypatch.setattr(extremal, "bridge_sides", bridge_spy)
     monkeypatch.setattr(extremal, "cut_labels", label_spy)
     kind, witness, children = extremal._find_star_split(star)
     assert kind == extremal.JOIN_STAR and witness["centre"] == 9
     assert searches == [] and len(labellings) <= star.n
+
+
+def _reference_directed_split(d):
+    """The directed split by brute component counts, the oracle of the
+    bridge-based finder: one `components` of d - v - uw per arc (u, w) and
+    vertex v."""
+    full = (1 << d.n) - 1
+    for u, w in d.sorted_arcs():
+        adj, _ = extremal._underlying(d, full, [(u, w)])
+        for v in range(d.n):
+            if v == u or v == w:
+                continue
+            if (u, v) in d.arcs or (v, w) in d.arcs:
+                continue
+            comps = components(adj, full & ~(1 << v))
+            if len(comps) != 2:
+                continue
+            cu = next(c for c in comps if c >> u & 1)
+            cw = next(c for c in comps if c >> w & 1)
+            if cu == cw:
+                continue
+            ch1 = extremal._child_plus(d, bits(cu | 1 << v), [(u, v)])
+            ch2 = extremal._child_plus(d, bits(cw | 1 << v), [(v, w)])
+            witness = {"u": u, "v": v, "w": w}
+            if extremal._verify_split(d, extremal.JOIN_DIRECTED, witness, [ch1, ch2]):
+                return extremal.JOIN_DIRECTED, witness, [ch1, ch2]
+    return None
+
+
+def _directed_split_inputs(rng):
+    """Seeded digraphs on at most 13 vertices: random ones of every density
+    (often not biconnected), directed Hajos joins of two random strong
+    parts, chains of symmetric K4 and biconnected random Eulerian ones."""
+    for _ in range(400):
+        n = rng.randrange(2, 14)
+        yield helpers.random_digraph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+    strong = []
+    while len(strong) < 60:
+        d = _random_eulerian(rng, rng.randrange(2, 7))
+        strong.append(d)
+        strong.append(helpers.random_digraph(rng, rng.randrange(2, 7), 0.5))
+    for _ in range(400):
+        d1, d2 = rng.choice(strong), rng.choice(strong)
+        if not d1.arcs or not d2.arcs:
+            continue
+        j = directed_hajos_join(
+            d1, rng.choice(sorted(d1.arcs)), d2, rng.choice(sorted(d2.arcs))
+        )
+        yield _relabelled(rng, j.n, j.arcs)
+    for count in (2, 3, 4):
+        for _ in range(20):
+            yield _k4_chain(rng, count)
+    eulerian = 0
+    while eulerian < 250:
+        d = _random_eulerian(rng, rng.randrange(3, 14))
+        if d.is_biconnected:
+            eulerian += 1
+            yield d
+
+
+def test_directed_split_matches_component_count_reference():
+    inputs = found = 0
+    for d in _directed_split_inputs(random.Random(75)):
+        want = _reference_directed_split(d)
+        assert extremal._find_directed_split(d) == want
+        inputs += 1
+        found += want is not None
+    assert inputs >= 1000 and found >= 300
+
+
+def test_directed_split_runs_one_bridge_search_per_vertex(monkeypatch):
+    # no directed split, so every arc and vertex is tried; one component
+    # count per arc and vertex would make 132 calls here
+    star = hajos_star_join(
+        10,
+        9,
+        [1, 2, 3],
+        [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
+    )
+    counted = []
+    searches = []
+    components, bridge_sides = extremal.components, extremal.bridge_sides
+
+    def components_spy(adj, within):
+        counted.append(within)
+        return components(adj, within)
+
+    def bridge_spy(adj, doubled):
+        searches.append(adj)
+        return bridge_sides(adj, doubled)
+
+    monkeypatch.setattr(extremal, "components", components_spy)
+    monkeypatch.setattr(extremal, "bridge_sides", bridge_spy)
+    assert extremal._find_directed_split(star) is None
+    assert counted == [] and 0 < len(searches) <= star.n
+
+
+def _reference_parallel_cut_search(d, a, b, s_comp, b_union):
+    """The parallel split's crossing-arc search by bridge searches, the
+    oracle of the label-based one: one `bridge_ends` of s_comp - e per
+    candidate arc e, and one `components` per digon."""
+    for p, q in d.sorted_arcs():
+        if p < q and s_comp >> p & 1 and s_comp >> q & 1 and (q, p) in d.arcs:
+            e, f = (p, q), (q, p)
+            parts = components(extremal._underlying(d, s_comp, [e, f])[0], s_comp)
+            if len(parts) != 2:
+                continue
+            found = extremal._validate_parallel(d, a, b, e, f, parts, b_union)
+            if found is not None:
+                return found
+    inner = [
+        (p, q)
+        for p, q in d.sorted_arcs()
+        if s_comp >> p & 1 and s_comp >> q & 1 and (q, p) not in d.arcs
+    ]
+    seen_pairs = set()
+    for e in inner:
+        for p, q in bridge_ends(*extremal._underlying(d, s_comp, [e])):
+            f = (p, q) if (p, q) in d.arcs else (q, p)
+            if f == e or (f[1], f[0]) in d.arcs:
+                continue
+            key = frozenset({e, f})
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            parts = components(extremal._underlying(d, s_comp, [e, f])[0], s_comp)
+            if len(parts) != 2:
+                continue
+            found = extremal._validate_parallel(d, a, b, e, f, parts, b_union)
+            if found is not None:
+                return found
+    return None
+
+
+def test_parallel_split_matches_bridge_search_reference(monkeypatch):
+    rng = random.Random(77)
+    inputs = []
+    for i in range(300):
+        if i % 3 == 0:
+            inputs.append(_random_eulerian(rng, rng.randrange(4, 14)))
+        elif i % 3 == 1:
+            inputs.append(_k4_tree_join(rng, rng.randrange(2, 7)))
+        else:
+            inputs.append(_k4_chain(rng, rng.randrange(2, 5)))
+    got = [extremal._find_parallel_split(d) for d in inputs]
+    monkeypatch.setattr(
+        extremal, "_parallel_cut_search", _reference_parallel_cut_search
+    )
+    want = [extremal._find_parallel_split(d) for d in inputs]
+    assert got == want
+    assert sum(found is not None for found in want) >= 60
 
 
 def test_check_extremal_necessary():
@@ -477,6 +628,18 @@ def test_lambda_profile_flow_counts(monkeypatch):
     calls.clear()
     lambda_profile(d)
     assert 2 * (d.n - 1) <= len(calls) < d.n * (d.n - 1)
+    # every pair flow here has lambda at its degree bound, above the pivot
+    # bound, so no earlier cut can stand in for it
+    assert len(calls) == 32
+
+    # sparse: the least cuts bound many pairs; 134 flows without them
+    rng = random.Random(72)
+    d = helpers.random_digraph(rng, 16, 0.2)
+    while all(d.d_plus(v) == d.d_minus(v) for v in range(d.n)):
+        d = helpers.random_digraph(rng, 16, 0.2)
+    calls.clear()
+    lambda_profile(d)
+    assert len(calls) == 73
 
 
 def test_non_eulerian_lambda_matches_networkx_flows():
@@ -495,6 +658,22 @@ def test_non_eulerian_lambda_matches_networkx_flows():
         for (u, v), val in prof.values.items():
             assert val == nx.maximum_flow_value(net, u, v)
         done += 1
+
+
+def test_pivot_lambda_matches_networkx_flows_at_every_density():
+    # from sparse inputs, where the least cuts bound the most pairs, to dense
+    rng = random.Random(76)
+    done = 0
+    for density in [0.1, 0.15, 0.2, 0.3, 0.5] * 10:
+        n = rng.randrange(8, 21)
+        d = helpers.random_digraph(rng, n, density)
+        if all(d.d_plus(v) == d.d_minus(v) for v in range(n)):
+            continue
+        net = _unit_network(d)
+        for (u, v), val in lambda_profile(d).values.items():
+            assert val == nx.maximum_flow_value(net, u, v)
+        done += 1
+    assert done >= 40
 
 
 def test_lambda_cuts_cover_every_ordered_pair():

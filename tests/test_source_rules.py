@@ -4,7 +4,9 @@
 A third keeps every module's dependencies in its header: no import sits
 inside a function.  A fourth keeps handlers narrow: no `except` is bare or
 catches Exception or BaseException, which would swallow programming errors
-and interrupts along with the toolkit's own."""
+and interrupts along with the toolkit's own.  A fifth keeps each module's
+private names its own: no module imports an underscore name from another,
+so a helper two modules share is a public primitive."""
 
 import ast
 import builtins
@@ -77,4 +79,39 @@ def _broad_handlers(path):
 
 def test_no_bare_or_catch_all_except():
     found = [v for path in SOURCES for v in _broad_handlers(path)]
+    assert found == []
+
+
+def _private_imports(path):
+    """Underscore names a module takes from another dichroma module: by
+    `from .x import _name`, or as `x._name` on a module it imported."""
+    modules = set()  # local names bound to dichroma modules
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "dichroma"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{path.name}:{node.lineno}: imports {alias.name}"
+                elif node.module in (None, "dichroma"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dichroma":
+                    if any(part.startswith("_") for part in alias.name.split(".")):
+                        yield f"{path.name}:{node.lineno}: imports {alias.name}"
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            yield f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}"
+
+
+def test_no_private_name_imported_across_modules():
+    found = [v for path in SOURCES for v in _private_imports(path)]
     assert found == []
