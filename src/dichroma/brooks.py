@@ -126,8 +126,6 @@ def _colour_component(d: Digraph) -> list[int]:
         return _colour_odd_cycle(d)
     if exc == EXC_SYMMETRIC_COMPLETE:
         return list(range(1, d.n + 1))
-    if k == 0:
-        return [1] * d.n
     if not _is_regular(d):
         return _colour_nonregular(d, k)
     if not d.is_biconnected:

@@ -140,9 +140,6 @@ class Digraph:
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
 
-    def __repr__(self) -> str:  # compact, deterministic
-        return f"Digraph(n={self.n}, arcs={self.sorted_arcs()})"
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -199,9 +196,6 @@ class Multigraph:
 
     def m(self) -> int:
         return len(self.edges)
-
-    def __repr__(self) -> str:
-        return f"Multigraph(n={self.n}, edges={list(self.edges)})"
 
 
 @dataclass(frozen=True)
@@ -442,18 +436,6 @@ def cut_labels(
         at[p] ^= at[v]
         out.append((min(p, v), max(p, v), at[v]))
     return out + others
-
-
-def bridges(g: Multigraph) -> list[int]:
-    """Indices of the bridges of g, in the order of `bridge_ends`."""
-    index: dict[tuple[int, int], int] = {}
-    doubled = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        if (u, v) in index:
-            doubled[u] |= 1 << v
-            doubled[v] |= 1 << u
-        index[u, v] = i
-    return [index[e] for e in bridge_ends(g.masks, doubled)]
 
 
 def is_acyclic(out_masks: Sequence[int], s: int) -> bool:

@@ -17,16 +17,12 @@ from typing import Sequence
 from .core import (
     Budget,
     Multigraph,
-    bits,
-    bridges,
     build_multigraph,
-    components,
     euler_tour,
     multigraph_components,
 )
 from .errors import (
     BadParameters,
-    DichromaError,
     Disconnected,
     EvenD,
     FallbackToExact,
@@ -223,63 +219,34 @@ class FactorWitness:
         return all(x == self.k for x in deg)
 
 
-def _factor(
-    g: Multigraph,
-    targets: Sequence[int],
-    forced: Sequence[int] = (),
-) -> list[int] | None:
-    """Spanning submultigraph with prescribed degrees, as edge indices.
+def _factor(g: Multigraph, targets: Sequence[int]) -> list[int] | None:
+    """Spanning submultigraph with prescribed degrees, as edge indices, or
+    None when g has none.
 
-    Reduction to perfect matching: each vertex spreads into one stub per
-    incident edge plus (degree - target) inner nodes joined to all its
-    stubs; edges link their two stubs.  A perfect matching pairs exactly
-    `target` stubs per vertex across edges.  `forced` edge indices are
-    preselected (their endpoints' targets drop by one).
+    Tutte's reduction to perfect matching (Tutte 1954): edge i becomes the
+    two linked stubs 2i and 2i + 1, and each vertex adds (degree - target)
+    inner nodes joined to all its stubs.  A perfect matching pairs exactly
+    `target` stubs per vertex across edges.  The blossom search finds a
+    perfect matching whenever one exists, so None proves that no factor
+    exists.
     """
-    t = list(targets)
-    for i in forced:
-        u, v = g.edges[i]
-        t[u] -= 1
-        t[v] -= 1
-    if any(x < 0 or x > g.degree(v) - sum(1 for i in forced if v in g.edges[i]) for v, x in enumerate(t)):
+    if any(t < 0 or t > g.degree(v) for v, t in enumerate(targets)):
         return None
-    alive = [i for i in range(g.m()) if i not in set(forced)]
-    stub_of: dict[tuple[int, int], int] = {}  # (edge index, endpoint) -> node
     adj: list[list[int]] = []
-
-    def new_node() -> int:
-        adj.append([])
-        return len(adj) - 1
-
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i in alive:
-        u, v = g.edges[i]
-        su = new_node()
-        sv = new_node()
-        stub_of[(i, u)] = su
-        stub_of[(i, v)] = sv
-        adj[su].append(sv)
-        adj[sv].append(su)
-        incident[u].append(su)
-        incident[v].append(sv)
-    for v in range(g.n):
-        inner_count = len(incident[v]) - t[v]
-        if inner_count < 0:
-            return None
-        for _ in range(inner_count):
-            iv = new_node()
+    for i, (u, v) in enumerate(g.edges):
+        adj += [[2 * i + 1], [2 * i]]
+        incident[u].append(2 * i)
+        incident[v].append(2 * i + 1)
+    for v, t in enumerate(targets):
+        for _ in range(len(incident[v]) - t):
+            adj.append(list(incident[v]))
             for s in incident[v]:
-                adj[iv].append(s)
-                adj[s].append(iv)
+                adj[s].append(len(adj) - 1)
     match = max_matching(len(adj), adj)
-    if any(x == -1 for x in match):
+    if -1 in match:
         return None
-    out = list(forced)
-    for i in alive:
-        u, v = g.edges[i]
-        if match[stub_of[(i, u)]] == stub_of[(i, v)]:
-            out.append(i)
-    return sorted(out)
+    return [i for i in range(g.m()) if match[2 * i] == 2 * i + 1]
 
 
 def extract_factor(g: Multigraph, k: int) -> FactorWitness | None:
@@ -428,46 +395,35 @@ def _colour_odd_route(g: Multigraph, d: int) -> list[int]:
     k = -(-(3 * delta - 1) // (3 * d - 1))
     dstar = _special_delta(k, d)
     big, origin = _pad_regular(g, dstar)
-    colour_big = _colour_regular_odd(big, d, k, depth=0)
+    colour_big = _colour_regular_odd(big, d, k)
     return _restrict_colours(g, origin, colour_big)
 
 
-def _colour_regular_odd(g: Multigraph, d: int, k: int, depth: int) -> list[int]:
-    """k-colour a special-degree regular multigraph at odd defect d."""
-    if depth > 50:
-        raise FallbackToExact("surgery recursion too deep")
+def _colour_regular_odd(g: Multigraph, d: int, k: int) -> list[int]:
+    """k-colour a special-degree regular multigraph at odd defect d.
+
+    Each k >= 2 starts from one phi-factor of g: phi = d - 1 at k = 2, 2d
+    at k = 3 and 4, and 3d - 1 above, where the factor is coloured at
+    k = 3 and the rest goes back through the odd route.  `_factor` is
+    exact, so None means g has no phi-factor, and FallbackToExact sends
+    `defective_colour` to the exact search.
+    """
     m = g.m()
     if k <= 1:
         return [1] * m
+    phi = {2: d - 1, 3: 2 * d, 4: 2 * d}.get(k, 3 * d - 1)
+    fac = _factor(g, [phi] * g.n)
+    if fac is None:
+        raise FallbackToExact(f"no {phi}-factor")
     if k == 2:
-        fac = _factor_with_surgery(g, d - 1, d, k, depth)
-        if fac is None:
-            raise FallbackToExact("no (d-1)-factor")
-        if isinstance(fac, _SurgeryColours):
-            return fac.colours
         fset = set(fac)
         return [1 if i in fset else 2 for i in range(m)]
     if k == 3:
-        fac = _factor_with_surgery(g, 2 * d, d, k, depth)
-        if fac is None:
-            raise FallbackToExact("no 2d-factor")
-        if isinstance(fac, _SurgeryColours):
-            return fac.colours
         return _three_colour_with_factor(g, fac)
     if k == 4:
-        fac = _factor_with_surgery(g, 2 * d, d, k, depth)
-        if fac is None:
-            raise FallbackToExact("no 2d-factor")
-        if isinstance(fac, _SurgeryColours):
-            return fac.colours
         return _four_colour_with_factor(g, fac, d)
-    fac = _factor_with_surgery(g, 3 * d - 1, d, k, depth)
-    if fac is None:
-        raise FallbackToExact("no (3d-1)-factor")
-    if isinstance(fac, _SurgeryColours):
-        return fac.colours
     fsub, fmap = _sub_multigraph(g, fac)
-    head = _colour_regular_odd(fsub, d, 3, depth)
+    head = _colour_regular_odd(fsub, d, 3)
     rest_idx = [i for i in range(m) if i not in set(fac)]
     rsub, rmap = _sub_multigraph(g, rest_idx)
     tail = _colour_odd_route(rsub, d)
@@ -552,192 +508,19 @@ def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cut-edge surgery
-
-
-class _SurgeryColours:
-    def __init__(self, colours: list[int]):
-        self.colours = colours
-
-
-def _factor_with_surgery(g: Multigraph, phi: int, d: int, k: int, depth: int):
-    """A phi-factor of the regular multigraph g, or a full k-colouring
-    produced by splitting g at a cut edge, or None."""
-    fac = _factor(g, [phi] * g.n)
-    if fac is not None:
-        return fac
-    # per bridge u-v: the vertices on u's side, and the non-isolated ones
-    # (plus v) on the other
-    cuts = []
-    for bi in sorted(bridges(g)):
-        u, v = g.edges[bi]
-        adj = list(g.masks)
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        side_u = next(c for c in components(adj, (1 << g.n) - 1) if c >> u & 1)
-        side_v = {x for x in range(g.n) if not side_u >> x & 1 and (g.degree(x) or x == v)}
-        cuts.append((bi, set(bits(side_u)), side_v))
-    # try the edge surgery: a bridge with a three-vertex side
-    for cut in cuts:
-        res = _edge_surgery_factor(g, cut, phi)
-        if res is not None:
-            return res
-    # vertex surgery: replace one side of a bridge by the three-vertex
-    # extremal multigraph, colour both halves, and merge along the bridge
-    for cut in cuts:
-        res = _vertex_surgery_colours(g, cut, d, k, depth)
-        if res is not None:
-            return res
-    return None
-
-
-def _edge_surgery_factor(g: Multigraph, cut, phi: int) -> list[int] | None:
-    """Factor through the crossing trick when one bridge side is the
-    three-vertex extremal multigraph."""
-    bridge_idx, side_u, side_v = cut
-    u, v = g.edges[bridge_idx]
-    for a_side, b_side, uu, vv in ((side_u, side_v, u, v), (side_v, side_u, v, u)):
-        if len(b_side) != 3 or len(a_side) < 4:
-            continue
-        others = sorted(b_side - {vv})
-        if len(others) != 2:
-            continue
-        w, x = others
-        # candidate removed edges: one copy of u-y (y in A, y != v), one of v-w
-        y_candidates = sorted(
-            {nb for nb, ei in g.adj[uu] if ei != bridge_idx and nb in a_side}
-        )
-        vw = next((ei for nb, ei in g.adj[vv] if nb == w), None)
-        if vw is None:
-            continue
-        for y in y_candidates:
-            uy = next((ei for nb, ei in g.adj[uu] if nb == y), None)
-            if uy is None:
-                continue
-            edges2 = [e for i, e in enumerate(g.edges) if i not in (uy, vw)]
-            edges2.append((uu, vv))  # second bridge copy
-            edges2.append((y, w))
-            g2 = build_multigraph(g.n, edges2)
-            forced = [g2.m() - 1]  # the added y-w edge
-            fac2 = _factor(g2, [phi] * g2.n, forced=forced)
-            if fac2 is None:
-                continue
-            # map back: drop the bridge copy and y-w, put back u-y and v-w
-            keep: list[int] = []
-            dropped_uv = False
-            old_of = [i for i in range(g.m()) if i not in (uy, vw)]
-            for i in fac2:
-                if i == g2.m() - 1:
-                    continue  # the forced y-w edge
-                if i == g2.m() - 2:
-                    dropped_uv = True
-                    continue  # the extra bridge copy
-                keep.append(old_of[i])
-            if not dropped_uv:
-                if bridge_idx in keep:
-                    keep.remove(bridge_idx)
-                else:
-                    continue
-            keep += [uy, vw]
-            if FactorWitness(tuple(keep), phi).verify(g):
-                return sorted(keep)
-    return None
-
-
-def _vertex_surgery_colours(
-    g: Multigraph, cut, d: int, k: int, depth: int
-) -> _SurgeryColours | None:
-    bridge_idx, side_u, side_v = cut
-    u, v = g.edges[bridge_idx]
-    if len(side_u) <= 3 or len(side_v) <= 3:
-        return None
-    delta = g.degree(u)
-    colour_a = _replace_side_and_colour(g, bridge_idx, side_u, u, v, delta, d, k, depth)
-    colour_b = _replace_side_and_colour(g, bridge_idx, side_v, v, u, delta, d, k, depth)
-    if colour_a is None or colour_b is None:
-        return None
-    cols_for_b, bridge_col_a = colour_a
-    cols_for_a, bridge_col_b = colour_b
-    # align the palettes on the bridge colour
-    if bridge_col_b != bridge_col_a:
-        swap = {bridge_col_b: bridge_col_a, bridge_col_a: bridge_col_b}
-        cols_for_a = {i: swap.get(c, c) for i, c in cols_for_a.items()}
-    out = [0] * g.m()
-    for i, c in cols_for_b.items():
-        out[i] = c
-    for i, c in cols_for_a.items():
-        out[i] = c
-    out[bridge_idx] = bridge_col_a
-    if any(c == 0 for c in out):
-        return None
-    return _SurgeryColours(out)
-
-
-def _replace_side_and_colour(
-    g: Multigraph,
-    bridge_idx: int,
-    gone_side: set[int],
-    gone_anchor: int,
-    kept_anchor: int,
-    delta: int,
-    d: int,
-    k: int,
-    depth: int,
-):
-    """Colour the multigraph obtained by replacing one bridge side with the
-    three-vertex extremal multigraph; returns (colours of the kept side's
-    original edges, bridge colour)."""
-    kept = sorted((set(range(g.n)) - gone_side) | {gone_anchor})
-    pos = {z: i for i, z in enumerate(kept)}
-    edges: list[tuple[int, int]] = []
-    emap: list[int] = []
-    for i, (a, b) in enumerate(g.edges):
-        if i == bridge_idx:
-            continue
-        if a in pos and b in pos and a not in gone_side and b not in gone_side:
-            edges.append((pos[a], pos[b]))
-            emap.append(i)
-    s1, s2 = len(kept), len(kept) + 1
-    lo = delta // 2
-    anchor = pos[gone_anchor]
-    sh_edges = [(anchor, s1)] * lo + [(anchor, s2)] * lo + [(s1, s2)] * ((delta + 1) // 2)
-    bridge_pos = len(edges)
-    edges.append((pos[gone_anchor], pos[kept_anchor]))
-    edges += sh_edges
-    try:
-        g2 = build_multigraph(len(kept) + 2, edges)
-    except DichromaError:
-        return None
-    try:
-        cols = _colour_regular_odd(g2, d, k, depth + 1)
-    except FallbackToExact:
-        return None
-    result = {emap[i]: cols[i] for i in range(len(emap))}
-    return result, cols[bridge_pos]
-
-
-# ---------------------------------------------------------------------------
 # simple-graph route
 
 
 def _colour_simple_route(g: Multigraph, d: int) -> list[int]:
-    delta = g.delta
-    proper = vizing_colour(g)
-    if d == 1:
-        return proper
-    if delta % d != 0 or delta == d:
-        return [1 + (c - 1) // d for c in proper]
-    if delta == 2 * d:
-        all_even = True
-        for comp in multigraph_components(g):
-            if all(g.degree(v) == 2 * d for v in comp) and len(comp) % 2 == 1:
-                all_even = False
-        if all_even:
-            return _parity_two_colour(g, d)
-        return [1 + (c - 1) // d for c in proper]
-    # d divides delta with delta >= 3d: deciding optimality is hard in
-    # general; the bucketed proper colouring stays within one extra colour
-    return [1 + (c - 1) // d for c in proper]
+    if d > 1 and g.delta == 2 * d and not any(
+        len(comp) % 2 == 1 and all(g.degree(v) == 2 * d for v in comp)
+        for comp in multigraph_components(g)
+    ):
+        return _parity_two_colour(g, d)
+    # a proper colouring bucketed into groups of d; where d divides
+    # delta >= 3d, deciding optimality is hard in general, and the buckets
+    # stay within one extra colour
+    return [1 + (c - 1) // d for c in vizing_colour(g)]
 
 
 def _parity_two_colour(g: Multigraph, d: int) -> list[int]:

@@ -124,23 +124,42 @@ def brute_factor_exists(g, k):
     return False
 
 
+def bridged_multigraph(rng):
+    """Two random blobs of 2-4 vertices and at most 6 edges each, joined
+    by one bridge."""
+    edges = []
+    sizes = (rng.randrange(2, 5), rng.randrange(2, 5))
+    off = 0
+    for size in sizes:
+        pairs = [(off + i, off + j) for i in range(size) for j in range(i + 1, size)]
+        edges += [rng.choice(pairs) for _ in range(rng.randrange(size - 1, 7))]
+        off += size
+    edges.append((rng.randrange(sizes[0]), sizes[0] + rng.randrange(sizes[1])))
+    return build_multigraph(off, edges)
+
+
 def test_extract_factor_brute_cross_check():
     rng = random.Random(21)
+    cases = []
     for _ in range(25):
         n = rng.randrange(3, 7)
         m = rng.randrange(2, 13)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = build_multigraph(n, [rng.choice(pairs) for _ in range(m)])
-        for k in (0, 2, 4):
-            got = _factor(g, [k] * g.n)
-            assert (got is not None) == brute_factor_exists(g, k), (g, k)
-            if got is not None:
-                deg = [0] * g.n
-                for i in got:
-                    u, v = g.edges[i]
-                    deg[u] += 1
-                    deg[v] += 1
-                assert all(x == k for x in deg)
+        cases += [(g, k) for k in (0, 2, 4)]
+    for _ in range(40):
+        g = bridged_multigraph(rng)
+        cases += [(g, k) for k in (2, 4)]
+    for g, k in cases:
+        got = _factor(g, [k] * g.n)
+        assert (got is not None) == brute_factor_exists(g, k), (g, k)
+        if got is not None:
+            deg = [0] * g.n
+            for i in got:
+                u, v = g.edges[i]
+                deg[u] += 1
+                deg[v] += 1
+            assert all(x == k for x in deg)
 
 
 def test_defective_colour_even_examples():
@@ -210,6 +229,7 @@ def test_defective_colour_cut_edge_surgery():
     col = defective_colour(g, 1, simple_hint=False)
     assert verify_edge_colouring(g, col, 1).valid
     assert col.k <= shannon_bound(3, 1)
+    assert col == exact_defective_index(g, 1)[1]
 
 
 def test_vizing_random_property():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -15,7 +16,6 @@ from dichroma.core import (
     bfs_path,
     bits,
     bridge_ends,
-    bridges,
     components,
     cut_labels,
     is_acyclic,
@@ -72,9 +72,14 @@ def test_bridges_leave_out_parallel_edges(g):
     nxg = nx.MultiGraph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges)
-    found = bridges(g)
+    doubled = [0] * g.n
+    for (u, v), copies in Counter(g.edges).items():
+        if copies > 1:
+            doubled[u] |= 1 << v
+            doubled[v] |= 1 << u
+    found = bridge_ends(g.masks, doubled)
     assert len(found) == len(set(found))
-    assert {frozenset(g.edges[i]) for i in found} == {frozenset(e) for e in nx.bridges(nxg)}
+    assert {frozenset(e) for e in found} == {frozenset(e) for e in nx.bridges(nxg)}
 
 
 def test_bridge_ends_of_a_digraph_minus_vertices_and_arcs():
@@ -100,7 +105,6 @@ def test_bridge_ends_of_a_digraph_minus_vertices_and_arcs():
         assert {frozenset(e) for e in found} == {frozenset(e) for e in nx.bridges(nxg)}
         g = Multigraph(n, tuple(left))
         assert adj == list(g.masks)
-        assert found == [g.edges[i] for i in bridges(g)]
 
 
 def _doubled_multigraphs(seed, count):
@@ -254,5 +258,4 @@ def test_bfs_order_follows_sorted_neighbours(d, data):
 def test_multigraph_normalises_endpoints_in_place():
     g = Multigraph(3, ((1, 0), (0, 1), (1, 2)))
     assert g.edges == ((0, 1), (0, 1), (1, 2))
-    assert bridges(g) == [2]
     assert g.mu == 2 and g.multiplicity(0, 1) == 2
