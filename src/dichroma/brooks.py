@@ -68,12 +68,12 @@ def _component_exception(d: Digraph, comp: frozenset[int]) -> str | None:
             symmetric
             and sub.n >= 3
             and sub.n % 2 == 1
-            and all(len(sub.und_sets[v]) == 2 for v in range(sub.n))
+            and all(m.bit_count() == 2 for m in sub.und_masks)
         ):
             return EXC_SYMMETRIC_ODD_CYCLE
         return None
     if symmetric and sub.n == k + 1 and all(
-        len(sub.und_sets[v]) == sub.n - 1 for v in range(sub.n)
+        m.bit_count() == sub.n - 1 for m in sub.und_masks
     ):
         return EXC_SYMMETRIC_COMPLETE
     return None
@@ -157,7 +157,7 @@ def _colour_odd_cycle(d: Digraph) -> list[int]:
     prev = -1
     while len(order) < d.n:
         v = order[-1]
-        nxt = min(w for w in d.und_sets[v] if w != prev)
+        nxt = min(w for w in bits(d.und_masks[v]) if w != prev)
         prev = v
         order.append(nxt)
     cols = [0] * d.n
@@ -217,8 +217,8 @@ def _colour_regular_biconnected(d: Digraph, k: int) -> list[int] | None:
     connected, then greedily colour (v, u, reverse BFS from x)."""
     full = (1 << d.n) - 1
     for x in range(d.n):
-        for side in (d.out_sets, d.in_sets):
-            nbrs = sorted(side[x])
+        for side in (d.out_masks, d.in_masks):
+            nbrs = bits(side[x])
             for i in range(len(nbrs)):
                 for j in range(i + 1, len(nbrs)):
                     u, v = nbrs[i], nbrs[j]

@@ -424,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of gen --verify; recognizer calls for extremal; candidate tests for free and "
         "the pattern checks of gen --verify (unset: each search keeps its library default)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled bounds")
-    p.add_argument("--json", action="store_true", help="machine output (always on)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, handler, reads, help):

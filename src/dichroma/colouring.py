@@ -17,6 +17,7 @@ from .core import (
     Digraph,
     bfs,
     bfs_path,
+    bits,
     is_acyclic,
     mask_of,
     strong_components,
@@ -62,32 +63,34 @@ def _check_range(cols: Sequence[int], k: int) -> None:
 
 
 def find_cycle_in(d: Digraph, vertices: Sequence[int]) -> list[int] | None:
-    """A directed cycle inside d[vertices], as a vertex list, or None."""
-    inside = set(vertices)
-    colour = {v: 0 for v in inside}  # 0 new, 1 active, 2 done
-    for root in sorted(inside):
-        if colour[root] != 0:
-            continue
-        stack = [(root, iter(sorted(d.out_sets[root] & inside)))]
-        colour[root] = 1
-        path = [root]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if colour[w] == 0:
-                    colour[w] = 1
-                    path.append(w)
-                    stack.append((w, iter(sorted(d.out_sets[w] & inside))))
-                    advanced = True
-                    break
-                elif colour[w] == 1:
-                    i = path.index(w)
-                    return path[i:]
-            if not advanced:
-                stack.pop()
-                path.pop()
-                colour[v] = 2
+    """A directed cycle inside d[vertices], as a vertex list, or None.
+
+    Depth-first search with roots in ascending index, each vertex trying
+    its out-neighbours inside the set in ascending index; the first arc
+    back onto the search path closes the cycle."""
+    out_masks = d.out_masks
+    inside = new = mask_of(vertices)  # new: the vertices not yet visited
+    while new:
+        root_bit = new & -new
+        new ^= root_bit
+        on_path = root_bit
+        path = [root_bit.bit_length() - 1]
+        todo = [out_masks[path[0]] & inside]  # per path vertex: untried arcs
+        while path:
+            live = todo[-1] & (new | on_path)
+            if not live:
+                todo.pop()
+                on_path ^= 1 << path.pop()
+                continue
+            w_bit = live & -live
+            todo[-1] = live ^ w_bit
+            w = w_bit.bit_length() - 1
+            if on_path & w_bit:
+                return path[path.index(w):]
+            new ^= w_bit
+            on_path |= w_bit
+            path.append(w)
+            todo.append(out_masks[w] & inside)
     return None
 
 
@@ -125,16 +128,17 @@ def greedy_dicolour(d: Digraph, order: Sequence[int]) -> Dicolouring:
     if sorted(order) != list(range(d.n)):
         raise InvalidInput("order must be a permutation of the vertices")
     colour = [0] * d.n
+    classes = [0]  # classes[c]: the vertices coloured c so far
     for v in order:
-        out_used = {colour[w] for w in d.out_sets[v] if colour[w]}
-        in_used = {colour[w] for w in d.in_sets[v] if colour[w]}
-        c_out = 1
-        while c_out in out_used:
+        c_out = c_in = 1
+        while c_out < len(classes) and classes[c_out] & d.out_masks[v]:
             c_out += 1
-        c_in = 1
-        while c_in in in_used:
+        while c_in < len(classes) and classes[c_in] & d.in_masks[v]:
             c_in += 1
-        colour[v] = min(c_out, c_in)
+        c = colour[v] = min(c_out, c_in)
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
     return Dicolouring(tuple(colour), max(colour, default=0))
 
 
@@ -155,7 +159,7 @@ def gallai_roy_colour(d: Digraph, order: Sequence[int]) -> Dicolouring:
     # decreasing position: predecessors along backward arcs come earlier.
     for v in sorted(range(d.n), key=lambda x: -pos[x]):
         best = 1
-        for u in d.in_sets[v]:
+        for u in bits(d.in_masks[v]):
             if pos[u] > pos[v]:
                 if f[u] + 1 > best:
                     best = f[u] + 1
@@ -293,7 +297,8 @@ def _odd_cycle_from_trail(trail: list[int]) -> list[int]:
 
 
 def is_dipolar(d: Digraph, s: set[int]) -> bool:
-    return all(d.out_sets[x] <= s or d.in_sets[x] <= s for x in s)
+    outside = ~mask_of(s)
+    return all(not d.out_masks[x] & outside or not d.in_masks[x] & outside for x in s)
 
 
 def dipolar_combine(
@@ -331,8 +336,9 @@ def dipolar_combine(
     colour = [0] * d.n
     for i, v in enumerate(rest):
         colour[v] = outer.colours[i]
+    outside = ~mask_of(s)
     for i, v in enumerate(labels):
-        if d.in_sets[v] <= s:
+        if not d.in_masks[v] & outside:
             colour[v] = inner.colours[i]
         else:
             colour[v] = inner.colours[i] + c
@@ -395,15 +401,13 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
 
 def _digon_clique_bound(d: Digraph) -> list[int]:
     """Greedy clique in the digon graph: its vertices need distinct colours."""
-    digon_nbrs = [
-        {w for w in d.out_sets[v] if v in d.out_sets[w]} for v in range(d.n)
-    ]
+    digon_nbrs = [o & i for o, i in zip(d.out_masks, d.in_masks)]
     best: list[int] = []
-    for start in sorted(range(d.n), key=lambda v: (-len(digon_nbrs[v]), v)):
+    for start in sorted(range(d.n), key=lambda v: (-digon_nbrs[v].bit_count(), v)):
         clique = [start]
-        cand = set(digon_nbrs[start])
+        cand = digon_nbrs[start]
         while cand:
-            v = min(cand, key=lambda x: (-len(digon_nbrs[x] & cand), x))
+            v = min(bits(cand), key=lambda x: (-(digon_nbrs[x] & cand).bit_count(), x))
             clique.append(v)
             cand &= digon_nbrs[v]
         if len(clique) > len(best):

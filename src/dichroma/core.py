@@ -1,9 +1,9 @@
 """Foundational graph values and shared algorithms.
 
 Digraphs and multigraphs are immutable values over dense integer vertex
-indices 0..n-1.  Adjacency is kept both as frozensets (for iteration) and
-as integer bitsets (for the exact solvers); every traversal breaks ties by
-ascending vertex index so downstream certificates are deterministic.
+indices 0..n-1.  Adjacency is kept once, as integer bitsets (bit w of
+`out_masks[v]` for the arc vw); every traversal breaks ties by ascending
+vertex index so downstream certificates are deterministic.
 """
 
 from __future__ import annotations
@@ -37,20 +37,6 @@ class Digraph:
     arcs: frozenset[Arc]
 
     @cached_property
-    def out_sets(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].add(v)
-        return tuple(frozenset(s) for s in out)
-
-    @cached_property
-    def in_sets(self) -> tuple[frozenset[int], ...]:
-        inn: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            inn[v].add(u)
-        return tuple(frozenset(s) for s in inn)
-
-    @cached_property
     def out_masks(self) -> tuple[int, ...]:
         out = [0] * self.n
         for u, v in self.arcs:
@@ -71,10 +57,10 @@ class Digraph:
         return (u, v) in self.arcs and (v, u) in self.arcs
 
     def d_plus(self, v: int) -> int:
-        return len(self.out_sets[v])
+        return self.out_masks[v].bit_count()
 
     def d_minus(self, v: int) -> int:
-        return len(self.in_sets[v])
+        return self.in_masks[v].bit_count()
 
     def d_min(self, v: int) -> int:
         return min(self.d_plus(v), self.d_minus(v))
@@ -93,11 +79,6 @@ class Digraph:
     @cached_property
     def is_oriented(self) -> bool:
         return all((v, u) not in self.arcs for u, v in self.arcs)
-
-    @cached_property
-    def und_sets(self) -> tuple[frozenset[int], ...]:
-        """Neighbourhoods of the underlying graph."""
-        return tuple(self.out_sets[v] | self.in_sets[v] for v in range(self.n))
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, frozenset((v, u) for u, v in self.arcs))

@@ -637,7 +637,7 @@ def recognize_k_extremal(
         ):
             cyc = [0]
             while len(cyc) < d.n:
-                cyc.append(min(d.out_sets[cyc[-1]]))
+                cyc.append(bits(d.out_masks[cyc[-1]])[0])
             cert = CertNode(BASE_DICYCLE, d.n, {"cycle": tuple(cyc)})
             return RecognizeResult(True, cert)
         return RecognizeResult(False, reason="not a directed cycle")
@@ -680,10 +680,10 @@ def _base_case(d: Digraph, k: int) -> CertNode | None:
     if d.n == k + 1 and len(d.arcs) == d.n * (d.n - 1):
         return CertNode(BASE_COMPLETE, d.n, {})
     if k == 3 and d.n >= 6 and d.n % 2 == 0:
-        hubs = [v for v in range(d.n) if len(d.und_sets[v]) == d.n - 1]
+        hubs = [v for v in range(d.n) if d.und_masks[v].bit_count() == d.n - 1]
         for hub in hubs:
             others = [v for v in range(d.n) if v != hub]
-            if all(len(d.und_sets[v]) == 3 for v in others):
+            if all(d.und_masks[v].bit_count() == 3 for v in others):
                 rim = _trace_cycle(d, others, hub)
                 if rim is not None:
                     return CertNode(
@@ -697,13 +697,13 @@ def _trace_cycle(d: Digraph, others: list[int], hub: int) -> list[int] | None:
     if len(others) < 3 or len(others) % 2 == 0:
         return None
     start = min(others)
-    first = [w for w in sorted(d.und_sets[start]) if w != hub]
+    first = bits(d.und_masks[start] & ~(1 << hub))
     if len(first) != 2:
         return None
     rim = [start, first[0]]
     while True:
         prev, cur = rim[-2], rim[-1]
-        nxt = [w for w in sorted(d.und_sets[cur]) if w != hub and w != prev]
+        nxt = bits(d.und_masks[cur] & ~(1 << hub | 1 << prev))
         if len(nxt) != 1:
             return None
         if nxt[0] == start:
@@ -1027,7 +1027,7 @@ def induced_cycle_hypergraph(
         nodes.tick(len(edges))
         v0 = path[0]
         last = path[-1]
-        for nxt in sorted(d.out_sets[last]):
+        for nxt in bits(d.out_masks[last]):
             if nxt in inside or nxt < v0:
                 continue
             if len(path) >= 2 and (nxt, last) in d.arcs:

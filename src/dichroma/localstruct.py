@@ -35,20 +35,19 @@ from .errors import (
 )
 
 
-def _is_tournament(d: Digraph, s: frozenset[int] | set[int]) -> bool:
-    m = mask_of(s)
+def _is_tournament(d: Digraph, s: int) -> bool:
+    """Does the vertex bitset s induce a tournament?"""
     return _is_semicomplete(d, s) and not any(
-        d.out_masks[v] & d.in_masks[v] & m for v in s  # a digon inside s
+        d.out_masks[v] & d.in_masks[v] & s for v in bits(s)  # a digon inside s
     )
 
 
-def _is_semicomplete(d: Digraph, s) -> bool:
-    m = mask_of(s)
-    return all(m & ~(d.und_masks[v] | 1 << v) == 0 for v in s)
+def _is_semicomplete(d: Digraph, s: int) -> bool:
+    return all(s & ~(d.und_masks[v] | 1 << v) == 0 for v in bits(s))
 
 
-def _is_transitive_tournament(d: Digraph, s) -> bool:
-    return _is_tournament(d, s) and is_acyclic(d.out_masks, mask_of(s))
+def _is_transitive_tournament(d: Digraph, s: int) -> bool:
+    return _is_tournament(d, s) and is_acyclic(d.out_masks, s)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
             wit[key] = v
 
     for v in range(d.n):
-        outs = d.out_sets[v]
-        ins = d.in_sets[v]
+        outs = d.out_masks[v]
+        ins = d.in_masks[v]
         if not _is_semicomplete(d, outs):
             fail("locally_out_semicomplete", v)
             fail("locally_semicomplete", v)
@@ -93,7 +92,7 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
         if not _is_tournament(d, ins):
             fail("locally_in_tournament", v)
         if not (
-            _is_tournament(d, outs) and is_acyclic(d.out_masks, d.in_masks[v])
+            _is_tournament(d, outs) and is_acyclic(d.out_masks, ins)
         ):
             fail("in_round_condition", v)
         if not (
@@ -176,13 +175,13 @@ def inround_order(d: Digraph) -> InRoundResult:
     if d.n <= 1:
         return InRoundResult(order=CyclicOrder(tuple(range(d.n))))
     for v in range(d.n):
-        if not _is_tournament(d, d.out_sets[v]):
+        if not _is_tournament(d, d.out_masks[v]):
             return InRoundResult(failing_vertex=v, failing_condition="out-not-tournament")
         if not is_acyclic(d.out_masks, d.in_masks[v]):
             return InRoundResult(failing_vertex=v, failing_condition="in-not-acyclic")
     f = [0] * d.n
     for x in range(d.n):
-        sinks = [y for y in sorted(d.in_sets[x]) if not (d.out_sets[y] & d.in_sets[x])]
+        sinks = [y for y in bits(d.in_masks[x]) if not d.out_masks[y] & d.in_masks[x]]
         f[x] = sinks[0]
     # follow x -> f(x); every vertex has in-degree 1 in the f-arc digraph
     start = 0
@@ -279,11 +278,11 @@ def monochromatic_out_ball_colouring(d: Digraph, x: int) -> Dicolouring:
     order = res.order.order
     pos = res.order.position()
     n = d.n
-    if not d.out_sets[x]:
+    if not d.out_masks[x]:
         raise PreconditionViolated("in-round strong graph needs out-arcs")
     best_y = None
     best_len = -1
-    for y in sorted(d.out_sets[x]):
+    for y in bits(d.out_masks[x]):
         length = (pos[y] - pos[x]) % n
         if length > best_len:
             best_len = length
@@ -317,7 +316,7 @@ def two_dicolour_lot(d: Digraph, t: Sequence[int]) -> Dicolouring:
     flags = check_local_class(d)
     if not d.is_oriented or not flags.locally_out_transitive:
         raise PreconditionViolated("not a locally out-transitive oriented graph")
-    if not _is_transitive_tournament(d, tset):
+    if not _is_transitive_tournament(d, mask_of(tset)):
         raise PreconditionViolated("t does not induce a transitive tournament")
     colour = [0] * d.n
     for comp in strong_components(d).parts:
@@ -352,11 +351,7 @@ def _two_colour_strong(d: Digraph, t_local: list[int], want: int) -> list[int]:
         h1 = owner[0]
     qcols = monochromatic_out_ball_colouring(q, h1)
     # entry tournaments: vertices of a hub with an in-neighbour outside
-    entry: list[list[int]] = [[] for _ in range(qn)]
-    for i, hub in enumerate(hubs):
-        for v in sorted(hub):
-            if d.in_sets[v] - hub:
-                entry[i].append(v)
+    entry = [[v for v in bits(m) if d.in_masks[v] & ~m] for m in map(mask_of, hubs)]
     cols = [0] * d.n
     for i, hub in enumerate(hubs):
         sub, labels = d.induced(sorted(hub))
@@ -427,8 +422,9 @@ def semicomplete_structure(d: Digraph) -> SemicompleteStructure:
     flags = check_local_class(d)
     if not flags.locally_semicomplete:
         raise PreconditionViolated("not locally semicomplete")
+    full = (1 << d.n) - 1
     for v in range(d.n):
-        if d.out_sets[v] == d.in_sets[v] == (set(range(d.n)) - {v}):
+        if d.out_masks[v] == d.in_masks[v] == full ^ 1 << v:
             return SemicompleteStructure("UniversalVertex", universal_vertex=v)
     hubs = maximal_weak_hubs(d)
     for hub in hubs:
@@ -483,11 +479,12 @@ def _round_order(q: Digraph) -> CyclicOrder:
 
 def find_2king(d: Digraph) -> int | None:
     """Least vertex reaching every other by a dipath of length at most 2."""
+    full = (1 << d.n) - 1
     for v in range(d.n):
-        reach = {v} | d.out_sets[v]
-        for w in d.out_sets[v]:
-            reach |= d.out_sets[w]
-        if len(reach) == d.n:
+        reach = 1 << v | d.out_masks[v]
+        for w in bits(d.out_masks[v]):
+            reach |= d.out_masks[w]
+        if reach == full:
             return v
     return None
 
@@ -505,7 +502,7 @@ def shortest_dicycle_length(d: Digraph) -> int | None:
         dist = {s: 0}
         for v in queue[1:]:
             dist[v] = dist[parent[v]] + 1
-        lengths += [dist[u] + 1 for u in d.in_sets[s] if u in dist]
+        lengths += [dist[u] + 1 for u in bits(d.in_masks[s]) if u in dist]
     return min(lengths, default=None)
 
 
@@ -571,7 +568,7 @@ def weighted_out_round_witness(
     total = sum(weights)
     best: WeightedWitness | None = None
     for u in range(d.n):
-        lhs = sum(weights[v] for v in d.out_sets[u])
+        lhs = sum(weights[v] for v in bits(d.out_masks[u]))
         bound = (total - weights[u]) / k
         cand = WeightedWitness(u, lhs, bound)
         if cand.verdict:

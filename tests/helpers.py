@@ -14,16 +14,34 @@ from typing import Iterable, Sequence
 from dichroma.core import Digraph, Multigraph
 
 
+# --- adjacency read straight from the arc set ------------------------------
+
+
+def out_sets(d: Digraph) -> list[set[int]]:
+    out: list[set[int]] = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        out[u].add(v)
+    return out
+
+
+def in_sets(d: Digraph) -> list[set[int]]:
+    inn: list[set[int]] = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        inn[v].add(u)
+    return inn
+
+
 # --- strong components by pairwise reachability ---------------------------
 
 
 def reachability_scc(d: Digraph) -> list[frozenset[int]]:
+    out = out_sets(d)
     reach = [set([v]) for v in range(d.n)]
     for v in range(d.n):
         stack = [v]
         while stack:
             x = stack.pop()
-            for y in d.out_sets[x]:
+            for y in out[x]:
                 if y not in reach[v]:
                     reach[v].add(y)
                     stack.append(y)
@@ -44,7 +62,7 @@ def reachability_scc(d: Digraph) -> list[frozenset[int]]:
 def brute_blocks(d: Digraph) -> set[frozenset[int]]:
     """2-connected components as inclusion-maximal vertex sets inducing a
     connected cutvertex-free underlying subgraph with at least one edge."""
-    und = [set(d.und_sets[v]) for v in range(d.n)]
+    und = [o | i for o, i in zip(out_sets(d), in_sets(d))]
 
     def induced_connected(s: set[int]) -> bool:
         start = next(iter(s))
@@ -80,13 +98,14 @@ def brute_blocks(d: Digraph) -> set[frozenset[int]]:
 
 def is_acyclic_subset(d: Digraph, s: Iterable[int]) -> bool:
     inside = set(s)
-    indeg = {v: len(d.in_sets[v] & inside) for v in inside}
+    out, inn = out_sets(d), in_sets(d)
+    indeg = {v: len(inn[v] & inside) for v in inside}
     ready = [v for v in inside if indeg[v] == 0]
     done = 0
     while ready:
         v = ready.pop()
         done += 1
-        for w in d.out_sets[v]:
+        for w in out[v]:
             if w in inside:
                 indeg[w] -= 1
                 if indeg[w] == 0:
@@ -161,6 +180,7 @@ def brute_lambda(d: Digraph, s: int, t: int) -> int:
 
 
 def brute_maximal_hubs(d: Digraph) -> set[frozenset[int]]:
+    inn = in_sets(d)
     hubs = []
     for size in range(1, d.n):
         for comb in itertools.combinations(range(d.n), size):
@@ -168,13 +188,14 @@ def brute_maximal_hubs(d: Digraph) -> set[frozenset[int]]:
             sub, _ = d.induced(comb)
             if not sub.is_strong:
                 continue
-            if any(s <= d.in_sets[x] for x in range(d.n) if x not in s):
+            if any(s <= inn[x] for x in range(d.n) if x not in s):
                 hubs.append(frozenset(s))
     maximal = {h for h in hubs if not any(h < g for g in hubs)}
     return maximal
 
 
 def brute_maximal_weak_hubs(d: Digraph) -> set[frozenset[int]]:
+    out, inn = out_sets(d), in_sets(d)
     hubs = []
     for size in range(1, d.n):
         for comb in itertools.combinations(range(d.n), size):
@@ -186,9 +207,9 @@ def brute_maximal_weak_hubs(d: Digraph) -> set[frozenset[int]]:
             for x in range(d.n):
                 if x in s:
                     continue
-                if s <= d.out_sets[x] - d.in_sets[x]:
+                if s <= out[x] - inn[x]:
                     ok = True
-                if s <= d.in_sets[x] - d.out_sets[x]:
+                if s <= inn[x] - out[x]:
                     ok = True
             if ok:
                 hubs.append(frozenset(s))
@@ -314,7 +335,7 @@ def random_lot_instance(rng, max_quotient: int = 7) -> Digraph:
             size = rng.randint(3, 5)
             sub = random_in_round(rng, size)
             part_arcs = sorted(sub.arcs)
-            entry = [0] + sorted(sub.out_sets[0]) if rng.random() < 0.5 else [0]
+            entry = [0] + sorted(out_sets(sub)[0]) if rng.random() < 0.5 else [0]
         offsets.append(offset)
         parts.append((part_arcs, size))
         entries.append([offset + v for v in entry])

@@ -252,7 +252,7 @@ def test_criterion_07_lot_two_colouring():
     for _ in range(1000):
         d = helpers.random_lot_instance(rng)
         x = rng.randrange(d.n)
-        t = [x] + sorted(d.out_sets[x])
+        t = [x] + sorted(helpers.out_sets(d)[x])
         col = two_dicolour_lot(d, t)
         if col.k > 2 or not verify_dicolouring(d, col).valid:
             ok = False

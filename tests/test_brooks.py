@@ -115,10 +115,25 @@ def _k5_minus_edge_pair():
     return build_digraph(11, edges + [(v, u) for u, v in edges])
 
 
+def _k5_and_octahedron_minus_edges():
+    """The symmetric K5 minus an edge ab and the symmetric octahedron
+    K(2,2,2) minus an edge cd, with one more vertex joined by digons to a,
+    b, c and d: 12 vertices, 4-regular, and that vertex cuts it.  The two
+    blocks colour the cut vertex differently, so merging them transposes
+    two colours of one block."""
+    a, b, c, d = 0, 1, 5, 7
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (a, b)]
+    edges += [
+        (u, v)
+        for u in range(5, 11)
+        for v in range(u + 1, 11)
+        if (u - 5) // 2 != (v - 5) // 2 and (u, v) != (c, d)
+    ]
+    edges += [(x, 11) for x in (a, b, c, d)]
+    return build_digraph(12, edges + [(v, u) for u, v in edges])
+
+
 def test_brooks_colour_merges_blocks(monkeypatch):
-    d = _k5_minus_edge_pair()
-    assert d.delta_max == 4 and not d.is_biconnected
-    assert all(d.d_plus(v) == d.d_minus(v) == 4 for v in range(d.n))
     merges = []
     merge = brooks._merge_blocks
 
@@ -127,14 +142,17 @@ def test_brooks_colour_merges_blocks(monkeypatch):
         return merge(sub, k)
 
     monkeypatch.setattr(brooks, "_merge_blocks", spy)
-    for seed in range(50):
-        rng = random.Random(seed)
-        perm = list(range(d.n))
-        rng.shuffle(perm)
-        e = build_digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
-        res = brooks_colour(e)
-        assert verify_dicolouring(e, res).valid and res.k <= 4
-    assert merges == [11] * 50
+    for d in (_k5_minus_edge_pair(), _k5_and_octahedron_minus_edges()):
+        assert d.delta_max == 4 and not d.is_biconnected
+        assert all(d.d_plus(v) == d.d_minus(v) == 4 for v in range(d.n))
+        for seed in range(50):
+            rng = random.Random(seed)
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            e = build_digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+            res = brooks_colour(e)
+            assert verify_dicolouring(e, res).valid and res.k <= 4
+    assert merges == [11] * 50 + [12] * 50
 
 
 def test_deltamin_gadget_shape():

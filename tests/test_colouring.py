@@ -9,6 +9,7 @@ from dichroma.colouring import (
     backward_path_bound,
     dipolar_combine,
     exact_dichromatic,
+    find_cycle_in,
     gallai_roy_colour,
     greedy_dicolour,
     two_colour_odd_free,
@@ -47,6 +48,66 @@ def test_witness_is_a_real_monochromatic_dicycle():
             assert len({cols[v] for v in cyc}) == 1
             for i, v in enumerate(cyc):
                 assert (v, cyc[(i + 1) % len(cyc)]) in d.arcs
+
+
+def _set_dfs_cycle(d, vertices):
+    """Reference for find_cycle_in: a depth-first search over neighbour
+    sets read from the arc set, roots and out-neighbours in ascending
+    index, returning the path from the first vertex an arc re-enters."""
+    out = helpers.out_sets(d)
+    inside = set(vertices)
+    colour = {v: 0 for v in inside}  # 0 new, 1 active, 2 done
+    for root in sorted(inside):
+        if colour[root] != 0:
+            continue
+        stack = [(root, iter(sorted(out[root] & inside)))]
+        colour[root] = 1
+        path = [root]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if colour[w] == 0:
+                    colour[w] = 1
+                    path.append(w)
+                    stack.append((w, iter(sorted(out[w] & inside))))
+                    advanced = True
+                    break
+                elif colour[w] == 1:
+                    i = path.index(w)
+                    return path[i:]
+            if not advanced:
+                stack.pop()
+                path.pop()
+                colour[v] = 2
+    return None
+
+
+def test_find_cycle_in_matches_set_based_search():
+    rng = random.Random(1982)
+    cyclic = 0
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        d = build_digraph(
+            n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        )
+        vertices = rng.sample(range(n), rng.randint(0, n))  # shuffled subset
+        want = _set_dfs_cycle(d, vertices)
+        assert find_cycle_in(d, vertices) == want
+        cyclic += want is not None
+        # the witness verify_dicolouring reports: the first class with a cycle
+        k = rng.randint(1, 3)
+        colours = [rng.randint(1, k) for _ in range(n)]
+        res = verify_dicolouring(d, Dicolouring(tuple(colours), k))
+        for col in range(1, k + 1):
+            cyc = _set_dfs_cycle(d, [v for v in range(n) if colours[v] == col])
+            if cyc is not None:
+                assert (res.witness_cycle, res.witness_colour) == (tuple(cyc), col)
+                break
+        else:
+            assert res.valid and res.witness_cycle is None
+    assert 500 <= cyclic <= 1500
 
 
 def test_exact_examples():

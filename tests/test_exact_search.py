@@ -43,7 +43,9 @@ def _subset_dp_chi(d):
     with a(X) the number of acyclic subsets of X, the count of k-tuples of
     acyclic sets covering V is sum over X of (-1)^(n-|X|) a(X)^k."""
     n = d.n
-    out = [sum(1 << w for w in d.out_sets[v]) for v in range(n)]
+    out = [0] * n
+    for u, v in d.arcs:
+        out[u] |= 1 << v
     full = (1 << n) - 1
     acyclic = [False] * (1 << n)
     acyclic[0] = True

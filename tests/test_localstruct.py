@@ -146,7 +146,7 @@ def test_two_dicolour_prescribed_property():
     for _ in range(150):
         d = helpers.random_lot_instance(rng)
         x = rng.randrange(d.n)
-        t = [x] + sorted(d.out_sets[x])
+        t = [x] + sorted(helpers.out_sets(d)[x])
         res = two_dicolour_lot(d, t)
         assert res.k <= 2
         assert verify_dicolouring(d, res).valid
@@ -185,7 +185,7 @@ def _assert_four_set(d, st):
         for y in e:
             assert (x, y) in d.arcs and (y, x) not in d.arcs
     for x in g:
-        assert d.out_sets[x] & e and d.in_sets[x] & e
+        assert helpers.out_sets(d)[x] & e and helpers.in_sets(d)[x] & e
 
 
 def _random_semicomplete(rng, n):
@@ -267,7 +267,8 @@ def test_weighted_out_round_witness():
         weights = [rng.randint(1, 5) for _ in range(d.n)]
         w = weighted_out_round_witness(d, weights, 3)
         assert w.verdict
-        assert w.weighted_out == sum(weights[v] for v in d.out_sets[w.vertex])
+        out = sorted(helpers.out_sets(d)[w.vertex])
+        assert w.weighted_out == sum(weights[v] for v in out)
 
 
 def test_two_dicolour_prescription_across_components():
