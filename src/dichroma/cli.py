@@ -234,7 +234,13 @@ def _lambda(ns, d) -> tuple[dict, int]:
     if pair is not None:
         x, rest = prof.cuts[pair]
         crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
-        _self_check(crossing == prof.values[pair], "dicut size equals lambda")
+        _self_check(crossing == prof.value, "dicut size equals lambda")
+        # lambda arc-disjoint dipaths of d: with the dicut, they prove the value
+        used = [arc for path in prof.paths for arc in zip(path, path[1:])]
+        ends = {(path[0], path[-1]) for path in prof.paths}
+        disjoint = len(set(used)) == len(used) and d.arcs.issuperset(used)
+        ok = len(prof.paths) == prof.value and ends <= {pair} and disjoint
+        _self_check(ok, "lambda arc-disjoint dipaths")
         rep["argmax"] = list(pair)
         rep["dicut_side"] = sorted(x)
     return rep, 0
@@ -344,7 +350,7 @@ def _defective(ns, mg) -> tuple[dict, int]:
     if ns.exact:
         value, colouring = def_mod.exact_defective_index(mg, ns.d, **_budget(ns))
     else:
-        colouring = def_mod.defective_colour(mg, ns.d, simple_hint=ns.simple)
+        colouring = def_mod.defective_colour(mg, ns.d, ns.simple, **_budget(ns))
         value = colouring.k
     _self_check(def_mod.verify_edge_colouring(mg, colouring, ns.d).valid, "edge colouring")
     return (
@@ -420,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dichroma", description=__doc__)
     p.add_argument(
         "--budget", type=int, default=None,
-        help="cap on search work: DFS nodes for chi, defective --exact and the chi check "
+        help="cap on search work: DFS nodes for chi, defective (--exact, or the exact "
+        "fallback of the bounded colouring) and the chi check "
         "of gen --verify; recognizer calls for extremal; candidate tests for free and "
         "the pattern checks of gen --verify (unset: each search keeps its library default)",
     )

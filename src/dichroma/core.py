@@ -383,6 +383,17 @@ def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, i
     return list(bridge_sides(adj, doubled))
 
 
+def cut_vertices(adj: Sequence[int]) -> int:
+    """The bitset of the cut vertices of the graph with neighbourhood
+    bitsets `adj`, from one lowpoint search: each vertex p that cuts off
+    a child's subtree (gap not negative), unless p is a root, which does
+    so for every child and so cuts only with two of them."""
+    tree = _lowpoint_dfs(adj, [0] * len(adj))
+    below = mask_of(v for _, v, _, _ in tree)  # the vertices that are not roots
+    cuts = [p for p, _, gap, _ in tree if gap >= 0]
+    return mask_of(p for p in cuts if below >> p & 1 or cuts.count(p) > 1)
+
+
 def cut_labels(
     adj: Sequence[int], doubled: Sequence[int]
 ) -> list[tuple[int, int, int]]:

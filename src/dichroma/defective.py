@@ -298,7 +298,9 @@ def _euler_halves(g: Multigraph):
 # the constructive ladder
 
 
-def defective_colour(g: Multigraph, d: int, simple_hint: bool = False) -> EdgeColouring:
+def defective_colour(
+    g: Multigraph, d: int, simple_hint: bool = False, budget: int | None = 20_000_000
+) -> EdgeColouring:
     """A valid d-defective edge colouring meeting the best applicable bound.
 
     Even d: exactly ceil(delta/d) colours via regularization and repeated
@@ -306,7 +308,8 @@ def defective_colour(g: Multigraph, d: int, simple_hint: bool = False) -> EdgeCo
     ceil((3 delta - 1)/(3 d - 1)) colours via the five-step regular ladder.
     Odd d on simple graphs (simple_hint): a proper colouring bucketed into
     groups of d, which meets ceil(delta/d) except when d divides delta;
-    the delta = 2d case is decided by the component parity rule.
+    the delta = 2d case is decided by the component parity rule.  A route
+    that finds no factor falls back to `exact_defective_index(g, d, budget)`.
     """
     if d < 1:
         raise BadParameters("defect must be positive")
@@ -324,7 +327,7 @@ def defective_colour(g: Multigraph, d: int, simple_hint: bool = False) -> EdgeCo
         else:
             cols = _colour_odd_route(g, d)
     except FallbackToExact:
-        value, colouring = exact_defective_index(g, d)
+        value, colouring = exact_defective_index(g, d, budget)
         return colouring
     return EdgeColouring(tuple(cols), max(cols))
 

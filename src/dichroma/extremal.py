@@ -28,6 +28,7 @@ from .core import (
     build_digraph,
     components,
     cut_labels,
+    cut_vertices,
     mask_of,
     reach,
 )
@@ -45,23 +46,23 @@ from .errors import (
 # max-flow / lambda profile
 
 
-def _maxflow_unit(d: Digraph, s: int, t: int) -> tuple[int, int]:
+def _maxflow_unit(d: Digraph, s: int, t: int) -> tuple[int, int, list[int]]:
     """Max arc-disjoint s->t dipaths (unit capacities), augmenting along
-    `core.bfs` in the residual digraph, and the vertex bitset the final
-    residual digraph reaches from s.  That set is the source side of the
-    least minimum s-t dicut, the same for every maximum flow."""
+    `core.bfs` in the residual digraph.  Returns the flow value; the vertex
+    bitset the final residual digraph reaches from s, the source side of
+    the least minimum s-t dicut, the same for every maximum flow; and the
+    flow itself as fwd[x], the heads of the flow arcs out of x."""
     if s == t:
         raise InvalidInput("flow endpoints must differ")
     out = d.out_masks
-    fwd = [0] * d.n  # fwd[x]: heads of the arcs out of x that carry flow
-    back = [0] * d.n  # back[x]: tails of the arcs into x that carry flow
+    fwd, back = [0] * d.n, [0] * d.n  # back[x]: the tails of flow arcs into x
     res = list(out)  # residual out-neighbours: out & ~fwd | back
     full = (1 << d.n) - 1
     flow = 0
     while True:
         queue, parent = bfs(res, full, s, t)
         if t not in parent:
-            return flow, mask_of(queue)
+            return flow, mask_of(queue), fwd
         y = t
         while y != s:
             x = parent[y]
@@ -77,48 +78,43 @@ def _maxflow_unit(d: Digraph, s: int, t: int) -> tuple[int, int]:
         flow += 1
 
 
-@dataclass(frozen=True)
-class LambdaProfile:
-    """lambda(u, v) for all ordered pairs, with minimum dicut witnesses."""
+def _dipaths(s: int, t: int, fwd: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The flow fwd of `_maxflow_unit(d, s, t)` split into as many
+    arc-disjoint s->t dipaths as its value.  No flow arc enters s or leaves
+    t, so a walk along unused flow arcs from s ends at t; a cycle it closes
+    on the way is cut out."""
+    fwd, paths = fwd[:], []
+    while fwd[s]:
+        path = [s]
+        while path[-1] != t:
+            x = path[-1]
+            y = (fwd[x] & -fwd[x]).bit_length() - 1
+            fwd[x] ^= 1 << y
+            path = path[: path.index(y) + 1] if y in path else path + [y]
+        paths.append(tuple(path))
+    return tuple(paths)
 
-    n: int
-    values: dict[Arc, int]
-    cuts: Mapping[Arc, tuple[frozenset[int], frozenset[int]]]
 
-    @property
-    def value(self) -> int:
-        return max(self.values.values(), default=0)
+class _PairFlows(Mapping):
+    """A read-only mapping over every ordered pair (u, v) of distinct
+    vertices, in ascending order, whose item is read by `read(value, side)`
+    off the pair's unit max-flow.  The flows are kept in `flows`, shared by
+    every mapping over them; a pair not there gets its flow on first read."""
 
-    def argmax(self) -> Arc | None:
-        values = self.values
-        return min(values, key=lambda p: (-values[p], p), default=None)
-
-
-class _LeastDicuts(Mapping):
-    """cuts[(u, v)] is the least minimum u-v dicut (X, V - X), from one unit
-    max-flow on the first read of the pair, then kept."""
-
-    def __init__(self, d: Digraph):
-        self._d = d
-        self._found: dict[Arc, tuple[frozenset[int], frozenset[int]]] = {}
+    def __init__(self, d: Digraph, flows: dict[Arc, tuple[int, int]], read):
+        self._d, self._flows, self._read = d, flows, read
 
     def __contains__(self, pair) -> bool:
         n = self._d.n
-        return (
-            isinstance(pair, tuple)
-            and len(pair) == 2
-            and all(isinstance(x, int) and 0 <= x < n for x in pair)
-            and pair[0] != pair[1]
-        )
+        ok = isinstance(pair, tuple) and len(pair) == 2 and pair[0] != pair[1]
+        return ok and all(isinstance(x, int) and 0 <= x < n for x in pair)
 
-    def __getitem__(self, pair) -> tuple[frozenset[int], frozenset[int]]:
+    def __getitem__(self, pair):
         if pair not in self:
             raise InvalidInput(f"not an ordered pair of distinct vertices: {pair!r}")
-        if pair not in self._found:
-            side = _maxflow_unit(self._d, *pair)[1]
-            rest = (1 << self._d.n) - 1 & ~side
-            self._found[pair] = (frozenset(bits(side)), frozenset(bits(rest)))
-        return self._found[pair]
+        if pair not in self._flows:
+            self._flows[pair] = _maxflow_unit(self._d, *pair)[:2]
+        return self._read(*self._flows[pair])
 
     def __iter__(self) -> Iterator[Arc]:
         n = self._d.n
@@ -128,87 +124,80 @@ class _LeastDicuts(Mapping):
         return self._d.n * (self._d.n - 1)
 
 
-def _gusfield_lambda(d: Digraph) -> list[list[int]]:
-    """lambda on an Eulerian digraph from n - 1 flows.  There d+(X) = d-(X)
-    for every X, so the least minimum s-t dicut side is also a minimum s-t
-    cut of the underlying multigraph, which is all Gusfield's equivalent
-    flow tree needs ("Very simple methods for all pairs network flow
-    analysis", 1990); lambda(u, v) is the least weight on the u-v tree
-    path."""
-    n = d.n
-    parent, weight = [0] * n, [0] * n
-    for s in range(1, n):
-        t = parent[s]
-        weight[s], side = _maxflow_unit(d, s, t)
-        for i in range(s + 1, n):
-            if side >> i & 1 and parent[i] == t:
-                parent[i] = s
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s in range(1, n):
-        tree[s].append((parent[s], weight[s]))
-        tree[parent[s]].append((s, weight[s]))
-    lam = []
-    for u in range(n):
-        row = [-1] * n
-        stack = [(u, len(d.arcs))]  # no lambda exceeds the arc count
-        while stack:
-            x, low = stack.pop()
-            row[x] = low
-            stack.extend((y, min(low, w)) for y, w in tree[x] if row[y] < 0)
-        lam.append(row)
-    return lam
+@dataclass(frozen=True)
+class LambdaProfile:
+    """lambda(D) = max lambda(u, v), with the lexicographically first pair
+    that attains it, that pair's arc-disjoint dipaths and least minimum
+    dicut, and every other pair's value and dicut on demand."""
 
+    n: int
+    value: int
+    pair: Arc | None
+    paths: tuple[tuple[int, ...], ...]  # `value` arc-disjoint pair[0]->pair[1] dipaths
+    values: Mapping[Arc, int]
+    cuts: Mapping[Arc, tuple[frozenset[int], frozenset[int]]]
 
-def _pivot_lambda(d: Digraph, dout: list[int], din: list[int]) -> list[list[int]]:
-    """lambda from the 2(n - 1) flows into and out of a pivot w of largest
-    min(d+, d-), which give min(lambda(u, w), lambda(w, v)) <= lambda(u, v).
-    Above, lambda(u, v) <= min(d+(u), d-(v)), and every flow's least cut
-    (X, V - X) of value f gives lambda(a, b) <= f for a in X and b not in X
-    (the cut reuse of Gomory & Hu 1961).  Pairs in ascending order; a pair
-    gets its own flow only where its lower bound is below every upper one."""
-    n = d.n
-    full = (1 << n) - 1
-    lam = [[0] * n for _ in range(n)]
-    # apart[a][f]: the vertices some least cut of value f has a apart from
-    apart: list[dict[int, int]] = [{} for _ in range(n)]
+    def argmax(self) -> Arc | None:
+        return self.pair
 
-    def flow(s: int, t: int) -> int:
-        f, side = _maxflow_unit(d, s, t)
-        for a in bits(side):
-            apart[a][f] = apart[a].get(f, 0) | full & ~side
-        return f
-
-    w = max(range(n), key=lambda v: (min(dout[v], din[v]), -v))
-    for v in range(n):
-        if v != w:
-            lam[v][w] = flow(v, w)
-            lam[w][v] = flow(w, v)
-    for u in range(n):
-        for v in range(n):
-            if u != v and w not in (u, v):
-                low = min(lam[u][w], lam[w][v])
-                if low < min(dout[u], din[v]) and not any(
-                    f <= low and rest >> v & 1 for f, rest in apart[u].items()
-                ):
-                    low = flow(u, v)
-                lam[u][v] = low
-    return lam
+    def minimum(self) -> int:
+        """min lambda(u, v), the arc-strong connectivity: the least of the n
+        values lambda(v, v + 1 mod n), since every X with 0 < |X| < n holds
+        some v with v + 1 mod n outside it (Schnorr 1979)."""
+        n = self.n
+        return min(self.values[v, (v + 1) % n] for v in range(n)) if n >= 2 else 0
 
 
 def lambda_profile(d: Digraph) -> LambdaProfile:
-    """Exact local arc-connectivity for every ordered pair, by unit max-flow.
-    On an Eulerian digraph n - 1 flows build Gusfield's equivalent flow
-    tree; elsewhere flows into and out of one pivot bound every other pair
-    from below, the degrees and every least cut found so far bound it from
-    above, and a flow runs only where the bounds differ.  cuts[(u, v)] is
-    the least minimum u-v dicut (X, V - X): X is the set the residual digraph
-    of a maximum flow reaches from u.  A cut is computed on its first read."""
+    """lambda(D) and its lexicographically first argmax pair, by a maximum
+    search over unit max-flows.  The pairs come in order of their degree
+    bound min(d+(u), d-(v)) >= lambda(u, v); the search stops at the first
+    bound that can no longer beat the best pair so far (a larger value, or
+    an equal one at an earlier pair).  A pair is skipped when the least cut
+    (X, V - X) of an earlier flow, of value f, has u in X and v outside,
+    and f cannot beat the best either (the cut reuse of Gomory & Hu 1961).
+    `values` and `cuts` hold every pair: those the search ran a flow for,
+    and any other on its first read, by one more flow.  cuts[(u, v)] is the
+    least minimum u-v dicut (X, V - X): X is the set the residual digraph
+    of a maximum flow reaches from u."""
     n = d.n
+    full = (1 << n) - 1
     dout = [d.d_plus(v) for v in range(n)]
     din = [d.d_minus(v) for v in range(n)]
-    lam = _gusfield_lambda(d) if dout == din else _pivot_lambda(d, dout, din)
-    values = {(u, v): lam[u][v] for u in range(n) for v in range(n) if u != v}
-    return LambdaProfile(n, values, _LeastDicuts(d))
+    # (bound, pair) by descending bound, then ascending pair, made lazily:
+    # the search mostly stops within the first bound
+    by_bound = (
+        (b, (u, v)) for b in sorted(set(dout) | set(din), reverse=True)
+        for u in range(n) if dout[u] >= b
+        for v in range(n) if u != v and min(dout[u], din[v]) == b
+    )
+    flows: dict[Arc, tuple[int, int]] = {}  # pair: (lambda, least cut side)
+    best, arg, arg_flow = -1, None, []
+
+    def beats(f: int, pair: Arc) -> bool:
+        """Whether a pair of value, or upper bound, f can still be the argmax."""
+        return f > best or f == best and pair < arg
+
+    for bound, pair in by_bound:
+        if not beats(bound, pair):
+            break
+        u, v = pair
+        if any(
+            side >> u & 1 and not side >> v & 1 and not beats(f, pair)
+            for f, side in flows.values()
+        ):
+            continue
+        f, side, flow = _maxflow_unit(d, u, v)
+        flows[pair] = (f, side)
+        if beats(f, pair):
+            best, arg, arg_flow = f, pair, flow
+
+    def cut(f: int, side: int) -> tuple[frozenset[int], frozenset[int]]:
+        return frozenset(bits(side)), frozenset(bits(full & ~side))
+
+    paths = _dipaths(*arg, arg_flow) if arg else ()
+    values = _PairFlows(d, flows, lambda f, side: f)
+    return LambdaProfile(n, max(best, 0), arg, paths, values, _PairFlows(d, flows, cut))
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +481,9 @@ def check_extremal_necessary(d: Digraph, k: int) -> NecessaryReport:
     lam_ok = False
     lam_max = 0
     if strong and d.n >= 2:
-        values = lambda_profile(d).values.values()
-        lam_ok = all(f == k for f in values)
-        lam_max = max(values)
+        prof = lambda_profile(d)
+        lam_max = prof.value
+        lam_ok = lam_max == k == prof.minimum()  # max = min = k: every pair is k
     return NecessaryReport(eul, strong, bic, lam_ok, lam_max)
 
 
@@ -873,35 +862,25 @@ def _find_star_split(d: Digraph) -> Found | None:
 def _find_parallel_split(d: Digraph) -> Found | None:
     """Parallel split: a non-adjacent junction pair (a, b) whose removal
     already detaches the middle digraph, plus two opposite crossing arcs
-    whose removal splits the remaining component in two."""
+    whose removal splits the remaining component in two.  The recognizer
+    asks only of a biconnected d, where d - a is connected, so b detaches
+    something from it exactly when b is a cut vertex of d - a: one
+    cut-vertex search per a lists every b."""
     full = (1 << d.n) - 1
     for a in range(d.n):
-        for b in range(a + 1, d.n):
-            if d.has_arc(a, b) or d.has_arc(b, a):
-                continue
-            comps = components(d.und_masks, full & ~(1 << a | 1 << b))
-            if len(comps) < 2:
-                continue
-            for aa, bb in ((a, b), (b, a)):
-                found = _parallel_with_junctions(d, aa, bb, comps)
-                if found is not None:
-                    return found
-    return None
-
-
-def _parallel_with_junctions(d: Digraph, a: int, b: int, comps) -> Found | None:
-    a_nbrs = d.und_masks[a] & ~(1 << b)
-    b_nbrs = d.und_masks[b] & ~(1 << a)
-    for s_comp in comps:
-        if not (a_nbrs & s_comp) or not (b_nbrs & s_comp):
+        later = full >> a + 1 << a + 1 & ~d.und_masks[a]  # b > a, not adjacent
+        if not later:
             continue
-        b_union = 0
-        for c in comps:
-            if c != s_comp:
-                b_union |= c
-        found = _parallel_cut_search(d, a, b, s_comp, b_union)
-        if found is not None:
-            return found
+        keep = full & ~(1 << a)
+        for b in bits(later & cut_vertices(_underlying(d, keep, ())[0])):
+            rest = keep & ~(1 << b)
+            comps = components(d.und_masks, rest)
+            for aa, bb in ((a, b), (b, a)):
+                for s_comp in comps:  # the middle part touches both junctions
+                    if d.und_masks[a] & s_comp and d.und_masks[b] & s_comp:
+                        found = _parallel_cut_search(d, aa, bb, s_comp, rest & ~s_comp)
+                        if found is not None:
+                            return found
     return None
 
 

@@ -197,6 +197,54 @@ def test_failed_self_check_is_json_error(files, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "graph, corrupt",
+    [
+        ("c3", lambda paths: ((0, 2, 1),)),  # (0, 2) and (2, 1) are not arcs
+        ("k4", lambda paths: paths[:1] + paths[1:2] * 2),  # an arc used twice
+        ("k4", lambda paths: paths[:-1]),  # one dipath short of lambda
+        ("k4", lambda paths: paths[:-1] + (paths[-1][:-1],)),  # ends short of v
+    ],
+    ids=["not-an-arc", "arc-reused", "path-missing", "wrong-end"],
+)
+def test_lambda_rechecks_its_dipaths(files, capsys, monkeypatch, graph, corrupt):
+    import dataclasses
+
+    from dichroma import extremal
+
+    profile = extremal.lambda_profile
+
+    def corrupted(d):
+        prof = profile(d)
+        return dataclasses.replace(prof, paths=corrupt(prof.paths))
+
+    assert main(["lambda", files[graph]]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(extremal, "lambda_profile", corrupted)
+    code = main(["lambda", files[graph]])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {
+        "type": "SelfCheckFailed",
+        "message": "re-check failed: lambda arc-disjoint dipaths",
+    }
+
+
+def test_defective_budget_reaches_the_exact_fallback(tmp_path, capsys):
+    # cubic with three bridges: no 2-factor, so d = 1 falls back to the
+    # exact search, which needs more than 10 nodes here
+    balloon = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+    lines = ["multigraph 16"]
+    for off in (1, 6, 11):
+        lines += [f"{p + off} {q + off}" for p, q in balloon] + [f"0 {off + 4}"]
+    path = tmp_path / "bridged.mg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["defective", "--d", "1", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["--budget", "10", "defective", "--d", "1", str(path)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["type"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize(
     "children, error",
     [
         ("[[1,", "UsageError"),

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import os
 import random
 
 import networkx as nx
@@ -371,6 +373,31 @@ def _reference_parallel_cut_search(d, a, b, s_comp, b_union):
     return None
 
 
+def _reference_parallel_split(d):
+    """The parallel split by one `components` of d - a - b per non-adjacent
+    pair a < b: the oracle of its cut-vertex pair scan."""
+    full = (1 << d.n) - 1
+    for a in range(d.n):
+        for b in range(a + 1, d.n):
+            if d.und_masks[a] >> b & 1:
+                continue
+            comps = components(d.und_masks, full & ~(1 << a | 1 << b))
+            if len(comps) < 2:
+                continue
+            for aa, bb in ((a, b), (b, a)):
+                for s_comp in comps:
+                    if not (d.und_masks[a] & s_comp and d.und_masks[b] & s_comp):
+                        continue
+                    b_union = 0
+                    for c in comps:
+                        if c != s_comp:
+                            b_union |= c
+                    found = extremal._parallel_cut_search(d, aa, bb, s_comp, b_union)
+                    if found is not None:
+                        return found
+    return None
+
+
 def test_parallel_split_matches_bridge_search_reference(monkeypatch):
     rng = random.Random(77)
     inputs = []
@@ -382,12 +409,40 @@ def test_parallel_split_matches_bridge_search_reference(monkeypatch):
         else:
             inputs.append(_k4_chain(rng, rng.randrange(2, 5)))
     got = [extremal._find_parallel_split(d) for d in inputs]
+    assert all(d.is_biconnected for d in inputs)  # as the recognizer asks
+    assert got == [_reference_parallel_split(d) for d in inputs]
     monkeypatch.setattr(
         extremal, "_parallel_cut_search", _reference_parallel_cut_search
     )
     want = [extremal._find_parallel_split(d) for d in inputs]
     assert got == want
     assert sum(found is not None for found in want) >= 60
+
+
+def test_parallel_split_runs_one_cut_vertex_search_per_vertex(monkeypatch):
+    # no split, so every vertex a is tried: one cut-vertex search each, and
+    # a component count for each of the 3 separating pairs, not the 27
+    # non-adjacent ones
+    d = hajos_star_join(
+        10,
+        9,
+        [1, 2, 3],
+        [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
+    )
+    searches, counted = [], []
+    cut_vertices, components_ = extremal.cut_vertices, extremal.components
+    monkeypatch.setattr(
+        extremal, "cut_vertices", lambda adj: searches.append(adj) or cut_vertices(adj)
+    )
+    monkeypatch.setattr(
+        extremal,
+        "components",
+        lambda adj, within: counted.append(within) or components_(adj, within),
+    )
+    assert extremal._find_parallel_split(d) is None
+    assert len(searches) <= d.n
+    pair_scan = [within for within in counted if within.bit_count() == d.n - 2]
+    assert pair_scan == [(1 << 10) - 1 & ~(1 << a | 1 << 9) for a in (1, 2, 3)]
 
 
 def test_check_extremal_necessary():
@@ -600,7 +655,7 @@ def test_eulerian_lambda_is_half_the_gomory_hu_cut():
             assert 2 * val == cut
 
 
-def test_lambda_profile_flow_counts(monkeypatch):
+def _flow_spy(monkeypatch) -> list:
     calls = []
     flow = extremal._maxflow_unit
 
@@ -609,15 +664,26 @@ def test_lambda_profile_flow_counts(monkeypatch):
         return flow(d, s, t)
 
     monkeypatch.setattr(extremal, "_maxflow_unit", spy)
+    return calls
+
+
+def test_lambda_profile_flow_counts(monkeypatch):
+    calls = _flow_spy(monkeypatch)
     chain = _k4_chain(random.Random(70), 7)
     assert chain.n == 22
     prof = lambda_profile(chain)
-    assert len(calls) == chain.n - 1  # Eulerian: one flow per tree edge
+    # every pair has lambda 3, but the glued vertices have larger degree
+    # bounds: 9 flows settle that no pair beats 3 (21 on Gusfield's tree)
+    assert len(calls) == 9 and prof.value == 3
+    searched = list(calls)
     pair = prof.argmax()
     side, rest = prof.cuts[pair]
-    assert len(calls) == chain.n  # a cut costs one flow on its first read
-    assert prof.cuts[pair] == (side, rest) and len(calls) == chain.n
+    assert len(calls) == 9  # the argmax's cut comes from its search flow
     assert sum(1 for p, q in chain.arcs if p in side and q in rest) == prof.values[pair]
+    # the minimum adds a flow for each cyclic pair (v, v + 1) the search skipped
+    assert prof.minimum() == 3
+    cyclic = {(v, (v + 1) % chain.n) for v in range(chain.n)}
+    assert sorted(calls) == sorted(set(searched) | cyclic) and len(calls) == 29
 
     rng = random.Random(71)
     d = helpers.random_digraph(rng, 14, 0.35)
@@ -626,20 +692,77 @@ def test_lambda_profile_flow_counts(monkeypatch):
     ):
         d = helpers.random_digraph(rng, 14, 0.35)
     calls.clear()
-    lambda_profile(d)
-    assert 2 * (d.n - 1) <= len(calls) < d.n * (d.n - 1)
-    # every pair flow here has lambda at its degree bound, above the pivot
-    # bound, so no earlier cut can stand in for it
-    assert len(calls) == 32
+    prof = lambda_profile(d)
+    # the first pair meets its degree bound, which no later pair exceeds
+    # (32 flows into, out of and around a pivot)
+    assert len(calls) == 1 and prof.value == 8
 
-    # sparse: the least cuts bound many pairs; 134 flows without them
     rng = random.Random(72)
     d = helpers.random_digraph(rng, 16, 0.2)
     while all(d.d_plus(v) == d.d_minus(v) for v in range(d.n)):
         d = helpers.random_digraph(rng, 16, 0.2)
     calls.clear()
-    lambda_profile(d)
-    assert len(calls) == 73
+    prof = lambda_profile(d)
+    assert len(calls) == 1 and prof.value == 6  # 73 around a pivot
+    assert prof.minimum() == 0 and len(calls) == 1 + d.n
+
+
+def test_lambda_flows_on_the_benchmark_lambda_inputs(monkeypatch, tmp_path):
+    # the 78 `lambda` operations of one lambda-extremal pass (seed 1), each
+    # reading lambda, the argmax and its dicut; 3,671 flows for all pairs
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    corpus = importlib.import_module("corpus")
+    ops = corpus.instantiate("lambda-extremal", 1, str(tmp_path), str(tmp_path))
+    inputs = [op["inst"] for op in ops if op["argv"][0] == "lambda"]
+    assert len(inputs) == 78
+    calls = _flow_spy(monkeypatch)
+    for kind, n, arcs in inputs:
+        prof = lambda_profile(build_digraph(n, arcs))
+        prof.cuts[prof.argmax()]
+    assert len(calls) <= 300 and len(calls) == 271
+
+
+def _lex_max_lambda(d):
+    """(lambda, lexicographically first argmax pair, its least dicut side,
+    least lambda) from networkx flows over all ordered pairs."""
+    net = _unit_network(d)
+    values = {
+        (u, v): nx.maximum_flow_value(net, u, v)
+        for u in range(d.n) for v in range(d.n) if u != v
+    }
+    pair = min(values, key=lambda p: (-values[p], p))
+    flow = nx.maximum_flow(net, *pair)[1]
+    residual = nx.DiGraph()
+    residual.add_nodes_from(range(d.n))
+    residual.add_edges_from((x, y) for x, y in d.arcs if flow[x][y] == 0)
+    residual.add_edges_from((y, x) for x, y in d.arcs if flow[x][y] == 1)
+    side = nx.descendants(residual, pair[0]) | {pair[0]}
+    return values[pair], pair, side, min(values.values())
+
+
+def test_lambda_search_matches_the_networkx_lexicographic_maximum():
+    rng = random.Random(78)
+    inputs = [
+        helpers.random_digraph(rng, rng.randrange(2, 15), rng.choice([0.1, 0.2, 0.35, 0.6]))
+        for _ in range(400)
+    ]
+    inputs += [_k4_chain(rng, count) for count in (2, 3, 5)]
+    inputs += [_k4_tree_join(rng, edges) for edges in (2, 4, 6)]
+    for d in inputs:
+        value, pair, side, least = _lex_max_lambda(d)
+        prof = lambda_profile(d)
+        assert (prof.value, prof.argmax()) == (value, pair)
+        assert prof.cuts[pair] == (side, set(range(d.n)) - side)
+        assert prof.minimum() == least
+        # the search's flow, as value arc-disjoint dipaths of d
+        used = [arc for path in prof.paths for arc in zip(path, path[1:])]
+        assert len(prof.paths) == value
+        assert all((path[0], path[-1]) == pair for path in prof.paths)
+        assert all(len(set(path)) == len(path) for path in prof.paths)
+        assert len(set(used)) == len(used) and set(used) <= d.arcs
+    for n in (0, 1):
+        prof = lambda_profile(build_digraph(n, []))
+        assert (prof.value, prof.argmax(), prof.paths, prof.minimum()) == (0, None, (), 0)
 
 
 def test_non_eulerian_lambda_matches_networkx_flows():
@@ -661,7 +784,7 @@ def test_non_eulerian_lambda_matches_networkx_flows():
 
 
 def test_pivot_lambda_matches_networkx_flows_at_every_density():
-    # from sparse inputs, where the least cuts bound the most pairs, to dense
+    # every value, read lazily at one flow per pair, from sparse inputs to dense
     rng = random.Random(76)
     done = 0
     for density in [0.1, 0.15, 0.2, 0.3, 0.5] * 10:

@@ -18,6 +18,7 @@ from dichroma.core import (
     bridge_ends,
     components,
     cut_labels,
+    cut_vertices,
     is_acyclic,
     mask_of,
     reach,
@@ -52,6 +53,19 @@ def test_components_after_deletions_and_drops(d, data):
     g.add_edges_from(left)
     expected = sorted(sorted(c) for c in nx.connected_components(g))
     assert [bits(c) for c in components(adj, mask_of(keep))] == expected
+
+
+def test_cut_vertices_match_networkx_articulation_points():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randrange(1, 13)
+        d = helpers.random_digraph(rng, n, rng.choice([0.08, 0.15, 0.3]))
+        keep = mask_of(v for v in range(n) if rng.random() < 0.85)
+        adj = underlying_masks(d, keep, ())[0]
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((p, q) for p, q in d.arcs if keep >> p & 1 and keep >> q & 1)
+        assert bits(cut_vertices(adj)) == sorted(nx.articulation_points(g))
 
 
 @given(digraphs(max_n=12), st.data())
