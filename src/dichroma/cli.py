@@ -343,6 +343,10 @@ def _structure(ns, d) -> tuple[dict, int]:
 
 def _king(ns, d) -> tuple[dict, int]:
     king = loc_mod.find_2king(d)
+    if king is not None:
+        two = {king} | {w for v, w in d.arcs if v == king}
+        two |= {w for v, w in d.arcs if v in two}
+        _self_check(two == set(range(d.n)), "two steps from the king reach every vertex")
     return {"king": king}, 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -362,46 +362,43 @@ def _lowpoint_dfs(
     return out
 
 
-def bridge_sides(
-    adj: Sequence[int], doubled: Sequence[int]
-) -> dict[tuple[int, int], int]:
-    """The bridges of the multigraph with neighbourhood bitsets `adj`, as
-    (lesser, greater) end pairs in the order the lowpoint search finds them
-    (Tarjan 1974), each mapped to the vertex bitset of its deeper end's
-    side: what the bridge cuts off from the rest of its component.
-    `doubled[v]` holds the neighbours joined to v by more than one edge;
-    such an edge is never a bridge."""
-    return {
-        (min(p, v), max(p, v)): sub
-        for p, v, gap, sub in _lowpoint_dfs(adj, doubled)
-        if gap > 0
-    }
+class Lowpoints(NamedTuple):
+    """What one lowpoint search of a multigraph proves; see `lowpoints`."""
+
+    adj: Sequence[int]
+    doubled: Sequence[int]
+    tree: list[tuple[int, int, int, int]]
+    cuts: int
+    bridges: dict[tuple[int, int], int]
 
 
-def bridge_ends(adj: Sequence[int], doubled: Sequence[int]) -> list[tuple[int, int]]:
-    """The end pairs of `bridge_sides`, in its order."""
-    return list(bridge_sides(adj, doubled))
+def lowpoints(adj: Sequence[int], doubled: Sequence[int]) -> Lowpoints:
+    """One lowpoint search of the multigraph with neighbourhood bitsets
+    `adj`, where `doubled[v]` holds the neighbours joined to v by more than
+    one edge.  `cuts` is the bitset of its cut vertices, which `doubled`
+    does not move: each p that cuts off a child's subtree (gap not
+    negative), unless p is a root, which does so for every child and so
+    cuts only with two.  `bridges` maps each bridge, a (lesser, greater)
+    end pair in the order the search finds them (Tarjan 1974), to the
+    vertex bitset its deeper end keeps; a doubled edge is never a bridge.
+    `cut_labels` reads the `tree`."""
+    tree = _lowpoint_dfs(adj, doubled)
+    below = once = twice = 0  # below: the vertices that are not roots
+    for p, v, gap, _ in tree:
+        below |= 1 << v
+        if gap >= 0:
+            twice |= once & 1 << p
+            once |= 1 << p
+    bridges = {(min(p, v), max(p, v)): sub for p, v, gap, sub in tree if gap > 0}
+    return Lowpoints(adj, doubled, tree, once & below | twice, bridges)
 
 
-def cut_vertices(adj: Sequence[int]) -> int:
-    """The bitset of the cut vertices of the graph with neighbourhood
-    bitsets `adj`, from one lowpoint search: each vertex p that cuts off
-    a child's subtree (gap not negative), unless p is a root, which does
-    so for every child and so cuts only with two of them."""
-    tree = _lowpoint_dfs(adj, [0] * len(adj))
-    below = mask_of(v for _, v, _, _ in tree)  # the vertices that are not roots
-    cuts = [p for p, _, gap, _ in tree if gap >= 0]
-    return mask_of(p for p in cuts if below >> p & 1 or cuts.count(p) > 1)
-
-
-def cut_labels(
-    adj: Sequence[int], doubled: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """The cycle-space label of every edge copy of the multigraph with
-    neighbourhood bitsets `adj` and `doubled` (as for `bridge_ends`), as
-    (lesser end, greater end, label): first the tree edges of the lowpoint
-    search in the order it leaves them, then the other copies in ascending
-    end order, so the two copies of a doubled edge come in that order.
+def cut_labels(found: Lowpoints) -> list[tuple[int, int, int]]:
+    """The cycle-space label of every edge copy of the multigraph that
+    `found` searched, as (lesser end, greater end, label): first the tree
+    edges of the search in the order it leaves them, then the other copies
+    in ascending end order, so the two copies of a doubled edge come in
+    that order.
 
     Each copy outside the tree gets a bit of its own.  The tree edge above
     v gets the XOR of the bits at the vertices of v's subtree: the copies
@@ -410,7 +407,7 @@ def cut_labels(
     non-zero label (Pritchard & Thurimella 2011, with exact labels in place
     of random ones).
     """
-    tree = _lowpoint_dfs(adj, doubled)
+    adj, doubled, tree = found.adj, found.doubled, found.tree
     in_tree = {(min(p, v), max(p, v)) for p, v, _, _ in tree}
     at = [0] * len(adj)  # per vertex: XOR of the bits of its non-tree copies
     others = []

@@ -12,8 +12,9 @@ verdict is the conjunction over the children of the first split found.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Collection, Iterable, Sequence
 
 from .colouring import exact_dichromatic
@@ -21,14 +22,14 @@ from .core import (
     Arc,
     Budget,
     Digraph,
+    Lowpoints,
     bfs,
     bfs_path,
     bits,
-    bridge_sides,
     build_digraph,
     components,
     cut_labels,
-    cut_vertices,
+    lowpoints,
     mask_of,
     reach,
 )
@@ -644,8 +645,9 @@ def _recognize(d: Digraph, k: int, calls: Budget) -> RecognizeResult:
     base = _base_case(d, k)
     if base is not None:
         return RecognizeResult(True, base)
+    minus = _minus_one(d)
     for finder in (_find_directed_split, _find_parallel_split, _find_star_split):
-        found = finder(d)
+        found = finder(d, minus)
         if found is None:
             continue
         kind, witness, children = found
@@ -713,9 +715,9 @@ def _underlying(
     d: Digraph, keep: int, drop: Collection[Arc]
 ) -> tuple[list[int], list[int]]:
     """Underlying multigraph of d on the vertex bitset keep, without the
-    arcs in drop, as (adj, doubled) bitsets for `bridge_sides` and
-    `cut_labels`: adj[v] holds v's neighbours, doubled[v] those still
-    joined to v by both arcs of a digon."""
+    arcs in drop, as (adj, doubled) bitsets for `lowpoints`: adj[v] holds
+    v's neighbours, doubled[v] those still joined to v by both arcs of a
+    digon."""
     adj = [m & keep if keep >> v & 1 else 0 for v, m in enumerate(d.und_masks)]
     doubled = [o & i & a for o, i, a in zip(d.out_masks, d.in_masks, adj)]
     for p, q in drop:
@@ -725,6 +727,14 @@ def _underlying(
             adj[p] &= ~(1 << q)
             adj[q] &= ~(1 << p)
     return adj, doubled
+
+
+def _minus_one(d: Digraph) -> Callable[[int], Lowpoints]:
+    """x -> the `lowpoints` of the underlying multigraph of d - x, searched
+    on first read: a recognizer node's table, shared by its split finders.
+    On a biconnected d, its `cuts` are x's 2-cut partners v: {x, v} cuts d."""
+    full = (1 << d.n) - 1
+    return cache(lambda x: lowpoints(*_underlying(d, full & ~(1 << x), ())))
 
 
 def _child_plus(d: Digraph, vertices: list[int], extra: list[Arc]) -> Child:
@@ -746,28 +756,27 @@ def _verify_split(d: Digraph, kind: str, witness: dict, children: list[Child]) -
     return node.replay_arcs() == d.arcs
 
 
-def _find_directed_split(d: Digraph) -> Found | None:
+def _find_directed_split(d: Digraph, minus: Callable | None = None) -> Found | None:
     """First (lex by (u, w, v)) directed-join split, replay-verified.
 
     (u, w, v) splits d exactly when v is not u or w, neither (u, v),
     (v, w) nor (w, u) is an arc, d - v is connected and u-w is a bridge of
     its underlying multigraph: then d - v - uw has two components, one
-    holding u and one holding w.  So one bridge search per vertex v, run
-    on the first arc that needs it, serves every arc."""
+    holding u and one holding w, so one search of d - v serves every arc.
+    On a biconnected d, as the recognizer asks, v is then a 2-cut partner
+    of each end with a third neighbour, whose side holds another vertex."""
+    minus = minus or _minus_one(d)
     full = (1 << d.n) - 1
-    sides: dict[int, dict[Arc, int]] = {}  # per v; empty where d - v is split
     for u, w in d.sorted_arcs():
         if (w, u) in d.arcs:
             continue
         free = full & ~(d.out_masks[u] | d.in_masks[w] | 1 << u | 1 << w)
+        for end in (u, w) if d.is_biconnected else ():
+            free &= minus(end).cuts if d.und_masks[end].bit_count() > 2 else full
         for v in bits(free):
             keep = full & ~(1 << v)
-            if v not in sides:
-                adj, doubled = _underlying(d, keep, ())
-                joined = reach(adj, keep, keep & -keep) == keep
-                sides[v] = bridge_sides(adj, doubled) if joined else {}
-            side = sides[v].get((min(u, w), max(u, w)))
-            if side is None:
+            side = minus(v).bridges.get((min(u, w), max(u, w)))
+            if side is None or len(minus(v).tree) < d.n - 2:  # or d - v is split
                 continue
             cu, cw = (side, keep & ~side) if side >> u & 1 else (keep & ~side, side)
             ch1 = _child_plus(d, bits(cu | 1 << v), [(u, v)])
@@ -779,34 +788,34 @@ def _find_directed_split(d: Digraph) -> Found | None:
 
 
 def _cut_classes(
-    d: Digraph, keep: int
+    found: Lowpoints,
 ) -> tuple[dict[tuple[int, int], int], dict[int, list[tuple[int, int]]]]:
-    """One `cut_labels` of the underlying multigraph of d on the vertex
-    bitset keep: the label of each edge (lesser end first; of a digon, that
-    of its copy outside the tree, which comes last) and the edge copies of
-    each label, in the order `cut_labels` gives them."""
+    """The `cut_labels` of a searched multigraph: the label of each edge
+    (lesser end first; of a digon, that of its copy outside the tree, which
+    comes last) and the edge copies of each label, in the order
+    `cut_labels` gives them."""
     label_of: dict[tuple[int, int], int] = {}
     classes: dict[int, list[tuple[int, int]]] = {}
-    for a, b, label in cut_labels(*_underlying(d, keep, ())):
+    for a, b, label in cut_labels(found):
         label_of[a, b] = label
         classes.setdefault(label, []).append((a, b))
     return label_of, classes
 
 
-def _star_forests(d: Digraph, keep: int) -> Iterator[tuple[Arc, list[int]]]:
-    """For each arc of d inside the vertex bitset keep, in sorted order, the
-    bridges of the underlying multigraph of d on keep minus that arc, as
+def _star_forests(d: Digraph, found: Lowpoints) -> Iterator[tuple[Arc, list[int]]]:
+    """For each arc of the underlying multigraph that `found` searched, in
+    sorted order, the bridges of that multigraph minus the arc, as
     neighbourhood bitsets.  One `cut_labels` serves every arc: dropping an
     edge copy with label 0 drops a bridge, and dropping one with a non-zero
     label makes bridges of the other copies in its label class.  Of a digon
     one arc goes, so the label read is that of the copy outside the tree."""
-    label_of, classes = _cut_classes(d, keep)
+    label_of, classes = _cut_classes(found)
     base = [0] * d.n
     for a, b in classes.get(0, ()):
         base[a] |= 1 << b
         base[b] |= 1 << a
     for pl, p1 in d.sorted_arcs():
-        if not (keep >> pl & 1 and keep >> p1 & 1):
+        if not found.adj[pl] >> p1 & 1:
             continue
         edge = (min(pl, p1), max(pl, p1))
         label = label_of[edge]
@@ -823,13 +832,18 @@ def _star_forests(d: Digraph, keep: int) -> Iterator[tuple[Arc, list[int]]]:
         yield (pl, p1), forest
 
 
-def _find_star_split(d: Digraph) -> Found | None:
+def _find_star_split(d: Digraph, minus: Callable | None = None) -> Found | None:
     """Star split: centre y plus a rim dicycle traced through the bridges
-    of d minus y minus the closing arc."""
+    of d minus y minus the closing arc.  On a biconnected d only a centre
+    y with a 2-cut partner is tried: some part around a rim vertex p holds
+    another vertex (else y is isolated), so {y, p} separates d."""
+    minus = minus or _minus_one(d)
     full = (1 << d.n) - 1
     for y in range(d.n):
+        if d.is_biconnected and not minus(y).cuts:
+            continue
         keep = full & ~(1 << y)
-        for (pl, p1), forest in _star_forests(d, keep):
+        for (pl, p1), forest in _star_forests(d, minus(y)):
             if not forest[p1] or not forest[pl]:
                 continue
             path = bfs_path(forest, full, p1, pl)
@@ -859,44 +873,49 @@ def _find_star_split(d: Digraph) -> Found | None:
     return None
 
 
-def _find_parallel_split(d: Digraph) -> Found | None:
+def _find_parallel_split(d: Digraph, minus: Callable | None = None) -> Found | None:
     """Parallel split: a non-adjacent junction pair (a, b) whose removal
     already detaches the middle digraph, plus two opposite crossing arcs
     whose removal splits the remaining component in two.  The recognizer
     asks only of a biconnected d, where d - a is connected, so b detaches
-    something from it exactly when b is a cut vertex of d - a: one
-    cut-vertex search per a lists every b."""
+    something from it exactly when b is a cut vertex of d - a: a's 2-cut
+    partners in the `_minus_one` table."""
+    minus = minus or _minus_one(d)
     full = (1 << d.n) - 1
+    labels = cache(lambda part: _cut_classes(lowpoints(*_underlying(d, part, ()))))
     for a in range(d.n):
         later = full >> a + 1 << a + 1 & ~d.und_masks[a]  # b > a, not adjacent
         if not later:
             continue
-        keep = full & ~(1 << a)
-        for b in bits(later & cut_vertices(_underlying(d, keep, ())[0])):
-            rest = keep & ~(1 << b)
+        for b in bits(later & minus(a).cuts):
+            rest = full & ~(1 << a | 1 << b)
             comps = components(d.und_masks, rest)
             for aa, bb in ((a, b), (b, a)):
-                for s_comp in comps:  # the middle part touches both junctions
-                    if d.und_masks[a] & s_comp and d.und_masks[b] & s_comp:
-                        found = _parallel_cut_search(d, aa, bb, s_comp, rest & ~s_comp)
+                for s_comp in comps:  # a middle part touches both junctions
+                    na, nb = d.und_masks[a] & s_comp, d.und_masks[b] & s_comp
+                    if na and nb and not na & nb:  # shared neighbours never validate
+                        found = _parallel_cut_search(
+                            d, aa, bb, s_comp, rest & ~s_comp, labels
+                        )
                         if found is not None:
                             return found
     return None
 
 
 def _parallel_cut_search(
-    d: Digraph, a: int, b: int, s_comp: int, b_union: int
+    d: Digraph, a: int, b: int, s_comp: int, b_union: int, labels: Callable
 ) -> Found | None:
     """The first pair of crossing arcs e, f inside s_comp that validates.
-    Every candidate is a 2-edge cut of s_comp, read from one `cut_labels`:
-    two edge copies with one non-zero label.  First the digons whose two
-    copies form such a cut (a fully degenerate crossing), then each arc e
-    without a reverse arc, in sorted order, with the mates of its label
-    (a bridge f of s_comp leaves both ends of e on one side)."""
+    Every candidate is a 2-edge cut of s_comp, read from its `_cut_classes`
+    (`labels(s_comp)`): two edge copies with one non-zero label.  First
+    the digons whose two copies form such a cut (a fully degenerate
+    crossing), then each arc e without a reverse arc, in sorted order, with
+    the mates of its label (a bridge f of s_comp leaves both ends of e on
+    one side)."""
     arcs = [(p, q) for p, q in d.sorted_arcs() if s_comp >> p & 1 and s_comp >> q & 1]
     if not arcs:
         return None
-    label_of, mates = _cut_classes(d, s_comp)
+    label_of, mates = labels(s_comp)
 
     def candidates() -> Iterator[tuple[Arc, Arc]]:
         for p, q in arcs:

@@ -196,6 +196,22 @@ def test_failed_self_check_is_json_error(files, capsys, monkeypatch):
     assert code == 2 and err["error"]["type"] == "SelfCheckFailed"
 
 
+def test_king_rechecks_its_claim(tmp_path, capsys, monkeypatch):
+    from dichroma import localstruct
+
+    c4 = tmp_path / "c4.dg"  # two steps from any vertex miss the third
+    c4.write_text("digraph 4\n0 1\n1 2\n2 3\n3 0\n")
+    rep, code = run_command(["king", str(c4)])
+    assert code == 0 and rep["king"] is None
+    monkeypatch.setattr(localstruct, "find_2king", lambda d: 0)
+    code = main(["king", str(c4)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {
+        "type": "SelfCheckFailed",
+        "message": "re-check failed: two steps from the king reach every vertex",
+    }
+
+
 @pytest.mark.parametrize(
     "graph, corrupt",
     [

@@ -6,9 +6,9 @@ import random
 import networkx as nx
 import pytest
 
-from dichroma import extremal
+from dichroma import core, extremal
 from dichroma.colouring import exact_dichromatic
-from dichroma.core import bits, bridge_ends, build_digraph, components
+from dichroma.core import bits, build_digraph, components, lowpoints, mask_of, reach
 from dichroma.errors import (
     BadEmbeddingOrder,
     InvalidInput,
@@ -213,32 +213,56 @@ def test_recognizer_star_join():
     assert not recognize_k_extremal(star.remove_arcs([arc]), 3).extremal
 
 
-def test_star_split_reads_one_cut_labelling_per_centre(monkeypatch):
-    # the centre comes last, so every centre is tried; one bridge search
-    # per centre and arc made 246 searches here
-    star = hajos_star_join(
+def _lowpoint_spy(monkeypatch) -> list:
+    """Record the vertex bitset of every `lowpoints` search that the
+    recognizer runs (its vertices with a neighbour: all of them here)."""
+    searched = []
+
+    def spy(adj, doubled):
+        searched.append(mask_of(v for v, nbrs in enumerate(adj) if nbrs))
+        return lowpoints(adj, doubled)
+
+    monkeypatch.setattr(extremal, "lowpoints", spy)
+    return searched
+
+
+def _one_less(searched: list, n: int) -> list:
+    """The searches of d - x among `searched`, checked to be one per x."""
+    minus_one = [s for s in searched if s.bit_count() == n - 1]
+    assert len(set(minus_one)) == len(minus_one) <= n
+    return minus_one
+
+
+def _star_pin_input():
+    """A star join whose centre 9 comes last, so every centre is tried.
+    Only the centre and the rim 1, 2, 3 have a 2-cut partner."""
+    return hajos_star_join(
         10,
         9,
         [1, 2, 3],
         [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
     )
-    searches = []
-    labellings = []
-    bridge_sides, cut_labels = extremal.bridge_sides, extremal.cut_labels
 
-    def bridge_spy(adj, doubled):
-        searches.append(adj)
-        return bridge_sides(adj, doubled)
 
-    def label_spy(adj, doubled):
-        labellings.append(adj)
-        return cut_labels(adj, doubled)
+def test_star_split_reads_one_cut_labelling_per_centre(monkeypatch):
+    # one bridge search per centre and arc made 246 searches here, and one
+    # labelling per centre made 10, each with a search of its own
+    star = _star_pin_input()
+    labelled = []
+    cut_labels = extremal.cut_labels
 
-    monkeypatch.setattr(extremal, "bridge_sides", bridge_spy)
+    def label_spy(found):
+        labelled.append(mask_of(v for v, nbrs in enumerate(found.adj) if nbrs))
+        return cut_labels(found)
+
+    searched = _lowpoint_spy(monkeypatch)
     monkeypatch.setattr(extremal, "cut_labels", label_spy)
     kind, witness, children = extremal._find_star_split(star)
     assert kind == extremal.JOIN_STAR and witness["centre"] == 9
-    assert searches == [] and len(labellings) <= star.n
+    # every search is of d - y, one per y, and labels only partnered centres
+    assert _one_less(searched, star.n) == searched
+    full = (1 << star.n) - 1
+    assert labelled == [full & ~(1 << y) for y in (1, 2, 3, 9)]
 
 
 def _reference_directed_split(d):
@@ -312,34 +336,25 @@ def test_directed_split_matches_component_count_reference():
 def test_directed_split_runs_one_bridge_search_per_vertex(monkeypatch):
     # no directed split, so every arc and vertex is tried; one component
     # count per arc and vertex would make 132 calls here
-    star = hajos_star_join(
-        10,
-        9,
-        [1, 2, 3],
-        [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
-    )
+    star = _star_pin_input()
     counted = []
-    searches = []
-    components, bridge_sides = extremal.components, extremal.bridge_sides
+    components = extremal.components
 
     def components_spy(adj, within):
         counted.append(within)
         return components(adj, within)
 
-    def bridge_spy(adj, doubled):
-        searches.append(adj)
-        return bridge_sides(adj, doubled)
-
     monkeypatch.setattr(extremal, "components", components_spy)
-    monkeypatch.setattr(extremal, "bridge_sides", bridge_spy)
+    searched = _lowpoint_spy(monkeypatch)
     assert extremal._find_directed_split(star) is None
-    assert counted == [] and 0 < len(searches) <= star.n
+    assert counted == [] and 0 < len(_one_less(searched, star.n)) == len(searched)
 
 
-def _reference_parallel_cut_search(d, a, b, s_comp, b_union):
+def _reference_parallel_cut_search(d, a, b, s_comp, b_union, labels):
     """The parallel split's crossing-arc search by bridge searches, the
-    oracle of the label-based one: one `bridge_ends` of s_comp - e per
-    candidate arc e, and one `components` per digon."""
+    oracle of the label-based one: one bridge search of s_comp - e per
+    candidate arc e, and one `components` per digon.  It reads no
+    labelling, so `labels` stays unused."""
     for p, q in d.sorted_arcs():
         if p < q and s_comp >> p & 1 and s_comp >> q & 1 and (q, p) in d.arcs:
             e, f = (p, q), (q, p)
@@ -356,7 +371,7 @@ def _reference_parallel_cut_search(d, a, b, s_comp, b_union):
     ]
     seen_pairs = set()
     for e in inner:
-        for p, q in bridge_ends(*extremal._underlying(d, s_comp, [e])):
+        for p, q in lowpoints(*extremal._underlying(d, s_comp, [e])).bridges:
             f = (p, q) if (p, q) in d.arcs else (q, p)
             if f == e or (f[1], f[0]) in d.arcs:
                 continue
@@ -371,6 +386,11 @@ def _reference_parallel_cut_search(d, a, b, s_comp, b_union):
             if found is not None:
                 return found
     return None
+
+
+def _labeller(d):
+    """A fresh cut labelling of each part of d on every read."""
+    return lambda part: extremal._cut_classes(lowpoints(*extremal._underlying(d, part, ())))
 
 
 def _reference_parallel_split(d):
@@ -392,7 +412,9 @@ def _reference_parallel_split(d):
                     for c in comps:
                         if c != s_comp:
                             b_union |= c
-                    found = extremal._parallel_cut_search(d, aa, bb, s_comp, b_union)
+                    found = extremal._parallel_cut_search(
+                        d, aa, bb, s_comp, b_union, _labeller(d)
+                    )
                     if found is not None:
                         return found
     return None
@@ -423,26 +445,53 @@ def test_parallel_split_runs_one_cut_vertex_search_per_vertex(monkeypatch):
     # no split, so every vertex a is tried: one cut-vertex search each, and
     # a component count for each of the 3 separating pairs, not the 27
     # non-adjacent ones
-    d = hajos_star_join(
-        10,
-        9,
-        [1, 2, 3],
-        [k4_arcs([9, 1, 4, 5]), k4_arcs([9, 2, 6, 7]), k4_arcs([9, 3, 8, 0])],
-    )
-    searches, counted = [], []
-    cut_vertices, components_ = extremal.cut_vertices, extremal.components
-    monkeypatch.setattr(
-        extremal, "cut_vertices", lambda adj: searches.append(adj) or cut_vertices(adj)
-    )
+    d = _star_pin_input()
+    counted = []
+    components_ = extremal.components
     monkeypatch.setattr(
         extremal,
         "components",
         lambda adj, within: counted.append(within) or components_(adj, within),
     )
+    searched = _lowpoint_spy(monkeypatch)
     assert extremal._find_parallel_split(d) is None
-    assert len(searches) <= d.n
+    minus_one = _one_less(searched, d.n)
+    # of the two parts of each of the 3 pairs, the one with no neighbour of
+    # both junctions is labelled once, for both orientations: not all 6
+    # parts once per orientation
+    middles = [s for s in searched if s not in minus_one]
+    assert len(set(middles)) == len(middles) == 3
     pair_scan = [within for within in counted if within.bit_count() == d.n - 2]
     assert pair_scan == [(1 << 10) - 1 & ~(1 << a | 1 << 9) for a in (1, 2, 3)]
+
+
+def test_recognizer_searches_each_vertex_once_per_node(monkeypatch):
+    # the three finders of a node read one table: without it, the directed
+    # and parallel splits each searched d - x and the star split labelled
+    # d - y with a search of its own, for up to 3n searches a node
+    nodes = []
+    minus_one = extremal._minus_one
+
+    def table_spy(d):
+        nodes.append((d.n, []))
+        return minus_one(d)
+
+    def search_spy(adj, doubled):
+        nodes[-1][1].append(mask_of(v for v, nbrs in enumerate(adj) if nbrs))
+        return lowpoints(adj, doubled)
+
+    monkeypatch.setattr(extremal, "_minus_one", table_spy)
+    monkeypatch.setattr(extremal, "lowpoints", search_spy)
+    rng = random.Random(80)
+    inputs = [_star_pin_input(), tree_join_pair()[1], _dicycle_union(rng, 12, 3)]
+    inputs += [_k4_tree_join(rng, 6), _k4_chain(rng, 4)]
+    for d in inputs:
+        recognize_k_extremal(d, 3)
+    assert len(nodes) >= 10
+    for n, searched in nodes:  # a node's finders run before its children
+        _one_less(searched, n)
+    star_root = nodes[0][1]
+    assert len(_one_less(star_root, 10)) == 10 and len(star_root) == 13
 
 
 def test_check_extremal_necessary():
@@ -722,6 +771,26 @@ def test_lambda_flows_on_the_benchmark_lambda_inputs(monkeypatch, tmp_path):
     assert len(calls) <= 300 and len(calls) == 271
 
 
+def test_lowpoint_searches_on_the_benchmark_extremal_inputs(monkeypatch, tmp_path):
+    # the 62 `extremal` operations of one lambda-extremal pass (seed 1):
+    # 3,388 lowpoint searches when each split finder ran its own
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    corpus = importlib.import_module("corpus")
+    ops = corpus.instantiate("lambda-extremal", 1, str(tmp_path), str(tmp_path))
+    inputs = [
+        (op["inst"], int(op["argv"][op["argv"].index("--k") + 1]))
+        for op in ops
+        if op["argv"][0] == "extremal"
+    ]
+    assert len(inputs) == 62
+    searches = []
+    dfs = core._lowpoint_dfs
+    monkeypatch.setattr(core, "_lowpoint_dfs", lambda *a: searches.append(1) or dfs(*a))
+    for (kind, n, arcs), k in inputs:
+        recognize_k_extremal(build_digraph(n, arcs), k)
+    assert len(searches) <= 2100 and len(searches) == 1626
+
+
 def _lex_max_lambda(d):
     """(lambda, lexicographically first argmax pair, its least dicut side,
     least lambda) from networkx flows over all ordered pairs."""
@@ -809,3 +878,219 @@ def test_lambda_cuts_cover_every_ordered_pair():
         with pytest.raises(InvalidInput):
             cuts[bad]
     assert lambda_profile(build_digraph(1, [])).cuts == {}
+
+
+def _dicycle_union(rng, n: int, count: int):
+    """Up to `count` arc-disjoint Hamiltonian dicycles on n vertices, each
+    drawn in at most 20 tries."""
+    arcs: set = set()
+    for _ in range(count):
+        for _ in range(20):
+            perm = rng.sample(range(n), n)
+            new = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+            if not new & arcs:
+                arcs |= new
+                break
+    return build_digraph(n, arcs)
+
+
+def _part(rng, a: int, b: int, fresh: int):
+    """A random strong Eulerian part with the digon [a, b]; its other
+    vertices are fresh, fresh + 1, ... .  Returns its arcs and next fresh."""
+    d = _random_eulerian(rng, rng.randrange(2, 6))
+    arcs = set(d.arcs) | {(0, 1), (1, 0)}
+    labels = [a, b] + list(range(fresh, fresh + d.n - 2))
+    return [(labels[p], labels[q]) for p, q in arcs], fresh + d.n - 2
+
+
+def _star(rng):
+    rim_size = rng.randrange(2, 5)
+    parts, fresh = [], rim_size + 1
+    for i in range(1, rim_size + 1):
+        arcs, fresh = _part(rng, 0, i, fresh)
+        parts.append(arcs)
+    d = hajos_star_join(fresh, 0, list(range(1, rim_size + 1)), parts)
+    return _relabelled(rng, d.n, d.arcs)
+
+
+def _bijoin(rng, pool):
+    d1, d2 = rng.choice(pool), rng.choice(pool)
+    t, a1 = rng.choice(sorted(d1.arcs))
+    w = rng.choice(bits(d1.out_masks[a1]))
+    v, a2 = rng.choice(sorted(d2.arcs))
+    u = rng.choice(bits(d2.out_masks[a2]))
+    try:
+        j = hajos_bijoin(d1, (t, a1, w), d2, (v, a2, u)).digraph
+    except PreconditionViolated:
+        return None
+    return _relabelled(rng, j.n, j.arcs)
+
+
+def _parallel(rng):
+    k4 = sym_complete(4)
+    host = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
+    arcs, _ = _part(rng, 0, 1, 2)
+    mid = build_digraph(1 + max(max(a) for a in arcs), arcs)
+    j = parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3}, mid, 0, 1)
+    return _relabelled(rng, j.n, j.arcs)
+
+
+def _finder_inputs(rng):
+    """Small seeded digraphs from every join construction, random Eulerian
+    digraphs and dicycle unions; the sparse ones hold vertices of
+    underlying degree 2."""
+    pool = [sym_complete(4)] + [_random_eulerian(rng, rng.randrange(3, 7)) for _ in range(30)]
+    for i in range(1080):
+        kind = i % 9
+        if kind == 0:
+            d = _random_eulerian(rng, rng.randrange(3, 14))
+        elif kind == 1:
+            d = _dicycle_union(rng, rng.randrange(4, 13), rng.randrange(1, 4))
+        elif kind == 2:
+            d1, d2 = rng.choice(pool), rng.choice(pool)
+            j = directed_hajos_join(
+                d1, rng.choice(sorted(d1.arcs)), d2, rng.choice(sorted(d2.arcs))
+            )
+            d = _relabelled(rng, j.n, j.arcs)
+        elif kind == 3:
+            d = _bijoin(rng, pool)
+        elif kind == 4:
+            d = _star(rng)
+        elif kind == 5:
+            d = _k4_tree_join(rng, rng.randrange(2, 6))
+        elif kind == 6:
+            d = _parallel(rng)
+        elif kind == 7:
+            d = _k4_chain(rng, rng.randrange(2, 5))
+        else:  # a join of joins
+            d1, d2 = rng.choice(pool), rng.choice(pool)
+            d = _bijoin(rng, [d1, d2]) if rng.random() < 0.5 else None
+        if d is not None:
+            if d.n <= 9 and d.is_strong:
+                pool.append(d)
+            yield d
+
+
+def _unpruned_directed_split(d):
+    """The directed split before the shared table: one bridge search of
+    d - v for every vertex v that some arc leaves free, and no 2-cut
+    prune."""
+    full = (1 << d.n) - 1
+    sides = {}
+    for u, w in d.sorted_arcs():
+        if (w, u) in d.arcs:
+            continue
+        free = full & ~(d.out_masks[u] | d.in_masks[w] | 1 << u | 1 << w)
+        for v in bits(free):
+            keep = full & ~(1 << v)
+            if v not in sides:
+                adj, doubled = extremal._underlying(d, keep, ())
+                joined = reach(adj, keep, keep & -keep) == keep
+                sides[v] = lowpoints(adj, doubled).bridges if joined else {}
+            side = sides[v].get((min(u, w), max(u, w)))
+            if side is None:
+                continue
+            cu, cw = (side, keep & ~side) if side >> u & 1 else (keep & ~side, side)
+            ch1 = extremal._child_plus(d, bits(cu | 1 << v), [(u, v)])
+            ch2 = extremal._child_plus(d, bits(cw | 1 << v), [(v, w)])
+            witness = {"u": u, "v": v, "w": w}
+            if extremal._verify_split(d, extremal.JOIN_DIRECTED, witness, [ch1, ch2]):
+                return extremal.JOIN_DIRECTED, witness, [ch1, ch2]
+    return None
+
+
+def _unpruned_parallel_split(d):
+    """The parallel split before the shared table: a cut-vertex search of
+    d - a of its own, and each middle part labelled once per
+    orientation."""
+    full = (1 << d.n) - 1
+    for a in range(d.n):
+        later = full >> a + 1 << a + 1 & ~d.und_masks[a]
+        if not later:
+            continue
+        keep = full & ~(1 << a)
+        cuts = lowpoints(extremal._underlying(d, keep, ())[0], [0] * d.n).cuts
+        for b in bits(later & cuts):
+            rest = keep & ~(1 << b)
+            comps = components(d.und_masks, rest)
+            for aa, bb in ((a, b), (b, a)):
+                for s_comp in comps:
+                    if d.und_masks[a] & s_comp and d.und_masks[b] & s_comp:
+                        found = extremal._parallel_cut_search(
+                            d, aa, bb, s_comp, rest & ~s_comp, _labeller(d)
+                        )
+                        if found is not None:
+                            return found
+    return None
+
+
+def _unpruned_star_split(d):
+    """The star split before the shared table: a labelling of d - y, with
+    a search of its own, for every centre y."""
+    full = (1 << d.n) - 1
+    for y in range(d.n):
+        keep = full & ~(1 << y)
+        searched = lowpoints(*extremal._underlying(d, keep, ()))
+        for (pl, p1), forest in extremal._star_forests(d, searched):
+            if not forest[p1] or not forest[pl]:
+                continue
+            path = extremal.bfs_path(forest, full, p1, pl)
+            if path is None or len(path) < 2:
+                continue
+            if any((path[i], path[i + 1]) not in d.arcs for i in range(len(path) - 1)):
+                continue
+            rim = path
+            if any(d.has_arc(y, p) or d.has_arc(p, y) for p in rim):
+                continue
+            cyc_arcs = {(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))}
+            comps = components(extremal._underlying(d, keep, cyc_arcs)[0], keep)
+            if len(comps) != len(rim):
+                continue
+            comp_of = [next(c for c in comps if c >> p & 1) for p in rim]
+            if len(set(comp_of)) != len(rim):
+                continue
+            children = [
+                extremal._child_plus(d, bits(comp_of[i] | 1 << y), [(y, rim[i]), (rim[i], y)])
+                for i in range(len(rim))
+            ]
+            witness = {"centre": y, "rim": tuple(rim)}
+            if extremal._verify_split(d, extremal.JOIN_STAR, witness, children):
+                return extremal.JOIN_STAR, witness, children
+    return None
+
+
+def test_split_finders_match_the_unpruned_finders(monkeypatch):
+    # every recognizer node (biconnected, as the prunes need) and every
+    # input's root (often not): same kind, witness and children
+    unpruned = {
+        "_find_directed_split": _unpruned_directed_split,
+        "_find_parallel_split": _unpruned_parallel_split,
+        "_find_star_split": _unpruned_star_split,
+    }
+    seen = {name: [] for name in unpruned}
+
+    def checked(name):
+        finder = getattr(extremal, name)
+
+        def compared(d, minus=None):
+            found = finder(d, minus)
+            assert found == unpruned[name](d)
+            seen[name].append((found is not None, min(m.bit_count() for m in d.und_masks)))
+            return found
+
+        return compared
+
+    for name in unpruned:
+        monkeypatch.setattr(extremal, name, checked(name))
+    inputs = 0
+    for d in _finder_inputs(random.Random(81)):
+        inputs += 1
+        minus = extremal._minus_one(d)
+        for name in unpruned:  # the root, biconnected or not
+            getattr(extremal, name)(d, minus)
+        recognize_k_extremal(d, 3)
+    assert inputs >= 1000
+    for name, calls in seen.items():
+        assert sum(found for found, _ in calls) >= 100, name
+        assert sum(found for found, degree in calls if degree <= 2) >= 20, name
+

@@ -15,11 +15,10 @@ from dichroma.core import (
     bfs_order,
     bfs_path,
     bits,
-    bridge_ends,
     components,
     cut_labels,
-    cut_vertices,
     is_acyclic,
+    lowpoints,
     mask_of,
     reach,
     strong_components,
@@ -61,11 +60,12 @@ def test_cut_vertices_match_networkx_articulation_points():
         n = rng.randrange(1, 13)
         d = helpers.random_digraph(rng, n, rng.choice([0.08, 0.15, 0.3]))
         keep = mask_of(v for v in range(n) if rng.random() < 0.85)
-        adj = underlying_masks(d, keep, ())[0]
+        adj, doubled = underlying_masks(d, keep, ())
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from((p, q) for p, q in d.arcs if keep >> p & 1 and keep >> q & 1)
-        assert bits(cut_vertices(adj)) == sorted(nx.articulation_points(g))
+        assert bits(lowpoints(adj, doubled).cuts) == sorted(nx.articulation_points(g))
+        assert lowpoints(adj, [0] * n).cuts == lowpoints(adj, doubled).cuts
 
 
 @given(digraphs(max_n=12), st.data())
@@ -91,8 +91,7 @@ def test_bridges_leave_out_parallel_edges(g):
         if copies > 1:
             doubled[u] |= 1 << v
             doubled[v] |= 1 << u
-    found = bridge_ends(g.masks, doubled)
-    assert len(found) == len(set(found))
+    found = list(lowpoints(g.masks, doubled).bridges)
     assert {frozenset(e) for e in found} == {frozenset(e) for e in nx.bridges(nxg)}
 
 
@@ -115,8 +114,13 @@ def test_bridge_ends_of_a_digraph_minus_vertices_and_arcs():
         nxg = nx.MultiGraph()
         nxg.add_nodes_from(range(n))
         nxg.add_edges_from(left)
-        found = bridge_ends(adj, doubled)
+        found = lowpoints(adj, doubled).bridges
         assert {frozenset(e) for e in found} == {frozenset(e) for e in nx.bridges(nxg)}
+        for (p, q), side in found.items():  # the side one end keeps alone
+            cut = nx.MultiGraph(nxg)
+            cut.remove_edge(p, q)
+            end = p if side >> p & 1 else q
+            assert bits(side) == sorted(nx.node_connected_component(cut, end))
         g = Multigraph(n, tuple(left))
         assert adj == list(g.masks)
 
@@ -159,7 +163,7 @@ def test_cut_labels_give_bridges_and_two_edge_cuts():
     disconnected = 0
     for d in _doubled_multigraphs(11, 60):
         full = (1 << d.n) - 1
-        labels = cut_labels(*underlying_masks(d, full, ()))
+        labels = cut_labels(lowpoints(*underlying_masks(d, full, ())))
         copies = [(a, b) for a, b, _ in labels]
         assert sorted(copies) == sorted((min(a), max(a)) for a in d.arcs)
         assert all(a < b for a, b in copies)
@@ -186,12 +190,12 @@ def test_bridges_less_one_edge_copy_from_cut_labels():
         full = (1 << d.n) - 1
         keep = full & ~(1 << rng.randrange(d.n)) if rng.random() < 0.5 else full
         inside = sorted(a for a in d.arcs if keep >> a[0] & 1 and keep >> a[1] & 1)
-        forests = list(_star_forests(d, keep))
+        forests = list(_star_forests(d, lowpoints(*underlying_masks(d, keep, ()))))
         assert [arc for arc, _ in forests] == inside
         for i, (arc, forest) in enumerate(forests):
             got = {(a, b) for a in range(d.n) for b in bits(forest[a]) if a < b}
             adj, doubled = underlying_masks(d, keep, [arc])
-            assert got == set(bridge_ends(adj, doubled))
+            assert got == set(lowpoints(adj, doubled).bridges)
             rest = [(min(a), max(a)) for a in inside[:i] + inside[i + 1:]]
             assert got == _brute_bridges(d.n, rest)
             probes += 1
