@@ -9,8 +9,10 @@ scripts/report_digest.py does), under `sys.setprofile` and
 `threading.setprofile`, both in a temporary directory.  Prints one line per
 function or method defined in src/dichroma that was never entered, as
 `module:line qualified.name`, in source order.  Class bodies, lambdas and
-comprehensions are left out.  The pytest and corpus output goes to
-standard error.
+comprehensions are left out.  The functions are compiled and keyed once,
+when the script starts, just after it imports dichroma, so a source edit
+during the run cannot shift their keys.  The pytest and corpus output goes
+to standard error.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    functions = defined()
     hit = called(args.seed)
-    for name, line, qualname in defined():
+    for name, line, qualname in functions:
         if (name, line, qualname) not in hit:
             print(f"{name[:-3]}:{line} {qualname}")
 

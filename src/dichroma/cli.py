@@ -432,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="cap on search work: DFS nodes for chi, defective (--exact, or the exact "
         "fallback of the bounded colouring) and the chi check "
-        "of gen --verify; recognizer calls for extremal; candidate tests for free and "
-        "the pattern checks of gen --verify (unset: each search keeps its library default)",
+        "of gen --verify; recognizer calls for extremal; candidates that survive the "
+        "masks for free and the pattern checks of gen --verify (unset: each search "
+        "keeps its library default)",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

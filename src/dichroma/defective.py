@@ -34,6 +34,9 @@ from .errors import (
 from .matching import max_matching
 from .vizing import vizing_colour
 
+GAMMA_SUBSETS = 1 << 16
+GAMMA_SEED = 0
+
 
 @dataclass(frozen=True)
 class EdgeColouring:
@@ -63,28 +66,26 @@ def verify_edge_colouring(g: Multigraph, c: EdgeColouring, d: int) -> EdgeVerify
     return EdgeVerifyResult(True)
 
 
-def gamma_d(
-    g: Multigraph, d: int, subset_cap: int = 1 << 16, seed: int = 0
-) -> int:
+def gamma_d(g: Multigraph, d: int) -> int:
     """Density lower bound: max over vertex sets X of
     ceil(edges inside X / floor(d |X| / 2)).
 
-    Enumerates all subsets when 2^n fits the cap, otherwise samples that
-    many random subsets (plus all pairs and the full set), so the result
+    Enumerates all subsets when 2^n fits GAMMA_SUBSETS, otherwise samples
+    that many random subsets (plus all pairs and the full set), so the result
     is always a valid lower bound.
     """
     if g.n < 2:
         return 0 if g.m() == 0 else 1
     masks: list[int]
-    if (1 << g.n) <= subset_cap:
+    if (1 << g.n) <= GAMMA_SUBSETS:
         masks = list(range(3, 1 << g.n))
     else:
-        rng = random.Random(seed)
+        rng = random.Random(GAMMA_SEED)
         masks = [(1 << g.n) - 1]
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 masks.append((1 << u) | (1 << v))
-        masks += [rng.randrange(1, 1 << g.n) for _ in range(subset_cap)]
+        masks += [rng.randrange(1, 1 << g.n) for _ in range(GAMMA_SUBSETS)]
     best = 0
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     for mask in masks:

@@ -15,11 +15,12 @@ from itertools import combinations
 from typing import Sequence
 
 from .colouring import exact_dichromatic
-from .core import Budget, Digraph, build_digraph, is_acyclic
-from .errors import BadVertex, SizeCapExceeded, TooFewParts
+from .core import Budget, Digraph, bits, build_digraph, is_acyclic, mask_of
+from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
 DEFAULT_CAP = 100_000
+HERO_FREE_CAP = 200_000
 
 
 def compose_circular(parts: Sequence[Digraph]) -> Digraph:
@@ -104,7 +105,7 @@ class GeneratedDigraph:
     forbidden: tuple[str, ...] = ()
 
 
-def gen_fk(ell: int, k: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
+def gen_fk(ell: int, k: int) -> GeneratedDigraph:
     """Layered circular composition: one vertex plus ell-1 copies of the
     previous layer around a dicycle of parts; layer k needs exactly k
     colours."""
@@ -115,15 +116,15 @@ def gen_fk(ell: int, k: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
     size = 1
     for _ in range(k - 1):
         size = 1 + (ell - 1) * size
-        if size > cap:
-            raise SizeCapExceeded(f"layer size exceeds cap {cap}")
+        if size > DEFAULT_CAP:
+            raise SizeCapExceeded(f"layer size exceeds cap {DEFAULT_CAP}")
     d = transitive_tournament(1)
     for _ in range(k - 1):
         d = compose_circular([transitive_tournament(1)] + [d] * (ell - 1))
     return GeneratedDigraph(d, "fk", {"ell": ell, "k": k}, claimed_chi=k)
 
 
-def gen_ds(s: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
+def gen_ds(s: int) -> GeneratedDigraph:
     """Oriented complete multipartite digraph on the ordered triples of
     0..s-1, grouped by middle element.
 
@@ -134,8 +135,8 @@ def gen_ds(s: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
     if s < 5:
         raise SizeCapExceeded("s must be at least 5")
     triples = list(combinations(range(s), 3))
-    if len(triples) > cap:
-        raise SizeCapExceeded(f"vertex count exceeds cap {cap}")
+    if len(triples) > DEFAULT_CAP:
+        raise SizeCapExceeded(f"vertex count exceeds cap {DEFAULT_CAP}")
     index = {t: i for i, t in enumerate(triples)}
     arcs: set[tuple[int, int]] = set()
     for t1 in triples:
@@ -155,7 +156,7 @@ def gen_ds(s: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
     )
 
 
-def gen_chordal_c122(k: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
+def gen_chordal_c122(k: int) -> GeneratedDigraph:
     """Chordal orientation needing exactly k colours while avoiding the
     5-vertex triangle composition with two doubled parts.
 
@@ -168,8 +169,8 @@ def gen_chordal_c122(k: int, cap: int = DEFAULT_CAP) -> GeneratedDigraph:
     while len(sizes) < k:
         p = len(sizes) + 1
         sizes.append(p + (p * (p - 1) // 2) * sizes[-1])
-        if sizes[-1] > cap:
-            raise SizeCapExceeded(f"level size exceeds cap {cap}")
+        if sizes[-1] > DEFAULT_CAP:
+            raise SizeCapExceeded(f"level size exceeds cap {DEFAULT_CAP}")
     arcs: set[tuple[int, int]] = set()
     n = _build_c122(k, 0, arcs)
     return GeneratedDigraph(
@@ -202,26 +203,26 @@ def _build_c122(k: int, base: int, arcs: set[tuple[int, int]]) -> int:
 def transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     """All non-empty vertex subsets inducing a transitive tournament.
 
-    DFS over increasing vertex indices, extending only with vertices
-    adjacent to every member and keeping the set acyclic.
+    DFS over increasing vertex indices: a subset grows only by a later
+    vertex in the common neighbourhood of its members that keeps it
+    acyclic.
     """
     out: list[tuple[int, ...]] = []
 
-    def closed(mask: int, v: int) -> bool:
-        return mask & ~d.und_masks[v] == 0 and is_acyclic(d.out_masks, mask | 1 << v)
-
-    def extend(s: tuple[int, ...], mask: int, start: int):
+    # common: the members' common neighbours above the last member;
+    # -(2 << v) is the bitset of the vertices above v
+    def extend(s: tuple[int, ...], mask: int, common: int):
         out.append(s)
-        for v in range(start, d.n):
-            if closed(mask, v):
-                extend(s + (v,), mask | 1 << v, v + 1)
+        for v in bits(common):
+            if is_acyclic(d.out_masks, mask | 1 << v):
+                extend(s + (v,), mask | 1 << v, common & d.und_masks[v] & -(2 << v))
 
     for v in range(d.n):
-        extend((v,), 1 << v, v + 1)
+        extend((v,), 1 << v, d.und_masks[v] & -(2 << v))
     return out
 
 
-def gen_chordal_hero_free(k: int, cap: int = 200_000) -> GeneratedDigraph:
+def gen_chordal_hero_free(k: int) -> GeneratedDigraph:
     """Chordal orientation needing exactly k colours while avoiding the
     triangle-dominating-a-vertex pattern.
 
@@ -234,14 +235,14 @@ def gen_chordal_hero_free(k: int, cap: int = 200_000) -> GeneratedDigraph:
         raise SizeCapExceeded("k must be positive")
     g = build_digraph(1, [])
     for level in range(2, k + 1):
-        f = _rainbow_amplifier(g, level - 1, cap)
-        g = _weld_hero_free(f, g, cap)
+        f = _rainbow_amplifier(g, level - 1)
+        g = _weld_hero_free(f)
     return GeneratedDigraph(
         g, "herofree", {"k": k}, claimed_chi=k, forbidden=("c3_to_k1",)
     )
 
 
-def _rainbow_amplifier(g: Digraph, chi: int, cap: int) -> Digraph:
+def _rainbow_amplifier(g: Digraph, chi: int) -> Digraph:
     """After chi-1 amplification stages, every optimal colouring of the
     result contains a rainbow transitive tournament of order chi: stage i
     welds one dominated copy of g behind every transitive tournament of
@@ -249,8 +250,7 @@ def _rainbow_amplifier(g: Digraph, chi: int, cap: int) -> Digraph:
     f = g
     for i in range(1, chi):
         subs = [s for s in transitive_subsets(f) if len(s) == i]
-        stage_new = sum(g.n for _ in subs)
-        if f.n + stage_new > cap:
+        if f.n + len(subs) * g.n > HERO_FREE_CAP:
             raise SizeCapExceeded("amplifier exceeds cap")
         arcs = set(f.arcs)
         nxt = f.n
@@ -265,22 +265,20 @@ def _rainbow_amplifier(g: Digraph, chi: int, cap: int) -> Digraph:
     return f
 
 
-def _weld_hero_free(f: Digraph, g_prev: Digraph, cap: int) -> Digraph:
+def _weld_hero_free(f: Digraph) -> Digraph:
     subs_f = transitive_subsets(f)
+    if f.n + len(subs_f) * (f.n + len(subs_f)) > HERO_FREE_CAP:
+        raise SizeCapExceeded("weld exceeds cap")
     arcs = set(f.arcs)
     nxt = f.n
     for t in subs_f:
         copy_base = nxt
-        if nxt + f.n > cap:
-            raise SizeCapExceeded("weld exceeds cap")
         for a, b in f.arcs:
             arcs.add((copy_base + a, copy_base + b))
         for x in t:
             for y in range(copy_base, copy_base + f.n):
                 arcs.add((x, y))
         nxt += f.n
-        if nxt + len(subs_f) > cap:
-            raise SizeCapExceeded("weld exceeds cap")
         for t2 in subs_f:
             apex = nxt
             nxt += 1
@@ -313,49 +311,39 @@ class PatternEmbedding:
 def contains_induced(
     host: Digraph, pattern: Digraph, budget: int | None = 5_000_000
 ) -> PatternEmbedding | None:
-    """Backtracking induced-subdigraph search.
+    """Induced-subdigraph search on candidate bitsets (Ullmann 1976).
 
-    Pattern vertices are assigned in natural order with ascending host
-    candidates, so a found embedding is the lexicographically first one;
-    None certifies absence.  Degree bounds prune candidates.
+    Pattern vertices are mapped in natural order.  The candidates of each
+    are the unused host vertices with large enough degrees that lie inside
+    (or, where the pattern has no such arc, outside) the in- and out-masks
+    of every mapped vertex, tried in ascending order: a found embedding is
+    the lexicographically first one, and None certifies absence.  One
+    budget step is one candidate tried.
     """
     if pattern.n > host.n:
         return None
-    candidates = Budget(budget, "pattern search budget")
+    steps = Budget(budget, "pattern search budget")
+    hout, hin = host.out_masks, host.in_masks
+    roots = [mask_of(hv for hv in range(host.n) if host.d_plus(hv) >= pattern.d_plus(pv)
+                     and host.d_minus(hv) >= pattern.d_minus(pv)) for pv in range(pattern.n)]
     mapping: list[int] = []
-    used: set[int] = set()
 
-    def compatible(pv: int, hv: int) -> bool:
-        if host.d_plus(hv) < pattern.d_plus(pv) or host.d_minus(hv) < pattern.d_minus(pv):
-            return False
-        for pu, hu in enumerate(mapping):
-            fwd = (pu, pv) in pattern.arcs
-            bwd = (pv, pu) in pattern.arcs
-            if fwd != ((hu, hv) in host.arcs):
-                return False
-            if bwd != ((hv, hu) in host.arcs):
-                return False
-        return True
-
-    def search(pv: int) -> bool:
+    def search(pv: int, unused: int) -> bool:
         if pv == pattern.n:
             return True
-        for hv in range(host.n):
-            if hv in used:
-                continue
-            candidates.tick()
-            if compatible(pv, hv):
-                mapping.append(hv)
-                used.add(hv)
-                if search(pv + 1):
-                    return True
-                used.remove(hv)
-                mapping.pop()
+        cand = roots[pv] & unused
+        for pu, hu in enumerate(mapping):
+            cand &= hout[hu] if pattern.out_masks[pu] >> pv & 1 else ~hout[hu]
+            cand &= hin[hu] if pattern.in_masks[pu] >> pv & 1 else ~hin[hu]
+        for hv in bits(cand):
+            steps.tick()
+            mapping.append(hv)
+            if search(pv + 1, unused & ~(1 << hv)):
+                return True
+            mapping.pop()
         return False
 
-    if search(0):
-        return PatternEmbedding(tuple(mapping))
-    return None
+    return PatternEmbedding(tuple(mapping)) if search(0, (1 << host.n) - 1) else None
 
 
 def _c3_to_k1() -> Digraph:
@@ -389,6 +377,9 @@ def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:
     """Opt-in self-check of a generator's claims (exponential routines).
 
     `budget` caps each search; None leaves each search its own default.
+    A pattern search that runs out is reported as unknown: null under
+    `free`, `free_ok` null unless another pattern was found, and the
+    budget message under `budget_exceeded`.
     """
     report: dict = {"name": gen.name, "params": gen.params}
     limit = {} if budget is None else {"budget": budget}
@@ -396,11 +387,15 @@ def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:
         value = exact_dichromatic(gen.digraph, **limit).value
         report["chi"] = value
         report["chi_ok"] = value == gen.claimed_chi
-    freeness = {}
+    freeness: dict[str, bool | None] = {}
     for pname in gen.forbidden:
-        emb = contains_induced(gen.digraph, pattern(pname), **limit)
-        freeness[pname] = emb is None
+        try:
+            freeness[pname] = contains_induced(gen.digraph, pattern(pname), **limit) is None
+        except BudgetExceeded as exc:
+            freeness[pname] = None
+            report["budget_exceeded"] = str(exc)
     if freeness:
+        found = freeness.values()
         report["free"] = freeness
-        report["free_ok"] = all(freeness.values())
+        report["free_ok"] = False if False in found else None if None in found else True
     return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from dichroma.core import Digraph, Multigraph
+from dichroma.core import Budget, Digraph, Multigraph, is_acyclic
 
 
 # --- adjacency read straight from the arc set ------------------------------
@@ -91,6 +91,70 @@ def brute_blocks(d: Digraph) -> set[frozenset[int]]:
             if two_connected(s):
                 cands.append(frozenset(s))
     return {s for s in cands if not any(s < t for t in cands)}
+
+
+# --- induced patterns and transitive subsets by plain backtracking ---------
+# The searches heroes.py ran before its candidate bitsets: every host vertex
+# is tried at every depth, and arcs are looked up pair by pair.
+
+
+def backtrack_contains_induced(
+    host: Digraph, pattern: Digraph, budget: int | None = 5_000_000
+) -> tuple[int, ...] | None:
+    """The lexicographically first induced embedding of pattern in host,
+    or None.  One budget step is one unused host vertex tried."""
+    if pattern.n > host.n:
+        return None
+    candidates = Budget(budget, "pattern search budget")
+    mapping: list[int] = []
+    used: set[int] = set()
+
+    def compatible(pv: int, hv: int) -> bool:
+        if host.d_plus(hv) < pattern.d_plus(pv) or host.d_minus(hv) < pattern.d_minus(pv):
+            return False
+        for pu, hu in enumerate(mapping):
+            if ((pu, pv) in pattern.arcs) != ((hu, hv) in host.arcs):
+                return False
+            if ((pv, pu) in pattern.arcs) != ((hv, hu) in host.arcs):
+                return False
+        return True
+
+    def search(pv: int) -> bool:
+        if pv == pattern.n:
+            return True
+        for hv in range(host.n):
+            if hv in used:
+                continue
+            candidates.tick()
+            if compatible(pv, hv):
+                mapping.append(hv)
+                used.add(hv)
+                if search(pv + 1):
+                    return True
+                used.remove(hv)
+                mapping.pop()
+        return False
+
+    return tuple(mapping) if search(0) else None
+
+
+def backtrack_transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
+    """The vertex subsets inducing a transitive tournament, in DFS order
+    over increasing vertex indices, each later vertex tested in turn."""
+    out: list[tuple[int, ...]] = []
+
+    def closed(mask: int, v: int) -> bool:
+        return mask & ~d.und_masks[v] == 0 and is_acyclic(d.out_masks, mask | 1 << v)
+
+    def extend(s: tuple[int, ...], mask: int, start: int):
+        out.append(s)
+        for v in range(start, d.n):
+            if closed(mask, v):
+                extend(s + (v,), mask | 1 << v, v + 1)
+
+    for v in range(d.n):
+        extend((v,), 1 << v, v + 1)
+    return out
 
 
 # --- minimum acyclic partition by restricted growth strings ----------------

@@ -35,7 +35,7 @@ THRESHOLDS = [
     (lambda b: recognize_k_extremal(_k4_chain(), 3, budget=b),
      5, (0, None, "recognition budget exceeded")),
     (lambda b: contains_induced(gen_fk(3, 3).digraph, pattern("c3_1_1_2"), budget=b),
-     8, (0, None, "pattern search budget")),
+     4, (0, None, "pattern search budget")),
     (lambda b: exact_defective_index(shannon_multigraph(7), 2, budget=b),
      20, (4, 5, "defective index search budget")),
     (lambda b: induced_cycle_hypergraph(_random_digraph_14(), node_budget=b),

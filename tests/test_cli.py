@@ -174,6 +174,15 @@ def test_chi_budget_bounds(files, tmp_path):
     assert code2 == 0 and rep2["chi"] == 3
 
 
+def test_gen_verify_keeps_chi_when_a_pattern_check_runs_out(capsys):
+    # on c122(3) the chi check needs 9 steps and the c3_1_2_2 search 19
+    code = main(["--budget", "10", "gen", "c122", "--k", "3", "--verify"])
+    rep = json.loads(capsys.readouterr().out)["verification"]
+    assert code == 0 and rep["chi"] == 3 and rep["chi_ok"] is True
+    assert rep["free"] == {"c3_1_2_2": None} and rep["free_ok"] is None
+    assert rep["budget_exceeded"] == "pattern search budget"
+
+
 def test_verify_rejects_out_of_range_colours(files, capsys):
     code = main(["verify", files["c3"], "--colours", "0,0,0"])
     err = json.loads(capsys.readouterr().out)

@@ -9,6 +9,8 @@ from dichroma.core import build_digraph
 from dichroma.errors import BadVertex, SizeCapExceeded, TooFewParts
 from dichroma.families import dicycle, transitive_tournament
 from dichroma.heroes import (
+    PATTERNS,
+    GeneratedDigraph,
     circ3,
     compose_circular,
     compose_domination,
@@ -227,8 +229,55 @@ def test_verify_generated_report():
     assert rep2["free_ok"]
 
 
+def test_verify_generated_keeps_chi_when_a_pattern_search_runs_out():
+    # on c122(3) the chi check needs 9 steps and the c3_1_2_2 search 19
+    c122 = gen_chordal_c122(3)
+    rep = verify_generated(c122, budget=10)
+    assert rep["chi"] == 3 and rep["chi_ok"] is True
+    assert rep["free"] == {"c3_1_2_2": None} and rep["free_ok"] is None
+    assert rep["budget_exceeded"] == "pattern search budget"
+    assert verify_generated(c122, budget=19)["free_ok"] is True
+    # a pattern that is found outweighs one left unknown
+    mixed = GeneratedDigraph(c122.digraph, "c122", {}, forbidden=("c3_1_2_2", "c3"))
+    rep2 = verify_generated(mixed, budget=10)
+    assert rep2["free"] == {"c3_1_2_2": None, "c3": False} and rep2["free_ok"] is False
+
+
 def test_herofree_level_three_builds_and_caps():
     g3 = gen_chordal_hero_free(3)
     assert g3.claimed_chi == 3 and g3.digraph.n > 1000
+    assert contains_induced(g3.digraph, pattern("c3_to_k1")) is None
     with pytest.raises(SizeCapExceeded):
         gen_chordal_hero_free(4)
+
+
+def _same_as_backtracking(host, names):
+    for name in names:
+        emb = contains_induced(host, pattern(name))
+        assert (emb and emb.mapping) == helpers.backtrack_contains_induced(host, pattern(name)), name
+
+
+def test_searches_match_backtracking_on_random_hosts():
+    rng = random.Random(18)
+    for _ in range(400):
+        host = helpers.random_digraph(rng, rng.randrange(1, 15), rng.uniform(0.1, 0.9))
+        _same_as_backtracking(host, PATTERNS)
+        assert transitive_subsets(host) == helpers.backtrack_transitive_subsets(host)
+
+
+def test_searches_match_backtracking_on_generated_hosts():
+    hosts = [gen_ds(5), gen_ds(6), gen_chordal_c122(3), gen_fk(3, 3)]
+    hosts += [gen_chordal_hero_free(k) for k in (1, 2, 3)]
+    for gen in hosts:
+        d = gen.digraph
+        assert transitive_subsets(d) == helpers.backtrack_transitive_subsets(d), gen.name
+    for gen in hosts[:-1]:
+        _same_as_backtracking(gen.digraph, PATTERNS)
+    # on herofree(3) backtracking exhausts its default budget for the other
+    # five patterns; their answers are checked by embedding or, for
+    # c3_to_k1, in test_herofree_level_three_builds_and_caps
+    hero3 = hosts[-1].digraph
+    _same_as_backtracking(hero3, ["c3", "tt3", "k1_to_c3"])
+    for name in PATTERNS:
+        emb = contains_induced(hero3, pattern(name))
+        assert emb is None or emb.verify(hero3, pattern(name))
