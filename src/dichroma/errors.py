@@ -141,6 +141,10 @@ class FileSemanticError(DichromaError):
         super().__init__(f"line {line}: {message}")
 
 
+class UnknownName(DichromaError, AttributeError):
+    """An attribute the dichroma package does not export."""
+
+
 class UsageError(DichromaError):
     """Bad command-line usage."""
 

@@ -377,16 +377,26 @@ def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:
     """Opt-in self-check of a generator's claims (exponential routines).
 
     `budget` caps each search; None leaves each search its own default.
-    A pattern search that runs out is reported as unknown: null under
-    `free`, `free_ok` null unless another pattern was found, and the
-    budget message under `budget_exceeded`.
+    A search that runs out puts its message under `budget_exceeded` and
+    the other checks still run.  A chi search that runs out reports
+    `chi` null, the bounds it proved as `chi_bounds`, and `chi_ok` false
+    when the claim lies outside them, else null.  A pattern search that
+    runs out is reported as unknown: null under `free`, `free_ok` null
+    unless another pattern was found.
     """
     report: dict = {"name": gen.name, "params": gen.params}
     limit = {} if budget is None else {"budget": budget}
     if gen.claimed_chi is not None:
-        value = exact_dichromatic(gen.digraph, **limit).value
-        report["chi"] = value
-        report["chi_ok"] = value == gen.claimed_chi
+        try:
+            value = exact_dichromatic(gen.digraph, **limit).value
+        except BudgetExceeded as exc:
+            report["chi"] = None
+            report["chi_bounds"] = [exc.lower, exc.upper]
+            report["chi_ok"] = None if exc.lower <= gen.claimed_chi <= exc.upper else False
+            report["budget_exceeded"] = str(exc)
+        else:
+            report["chi"] = value
+            report["chi_ok"] = value == gen.claimed_chi
     freeness: dict[str, bool | None] = {}
     for pname in gen.forbidden:
         try:

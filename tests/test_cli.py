@@ -1,9 +1,11 @@
 import json
+import pathlib
 import random
 
 import pytest
 
 from dichroma.cli import (
+    build_parser,
     format_digraph,
     format_multigraph,
     main,
@@ -13,6 +15,7 @@ from dichroma.cli import (
 )
 from dichroma.errors import FileSemanticError, FileSyntaxError
 from dichroma.families import dicycle, shannon_multigraph, sym_complete
+from dichroma.heroes import PATTERNS
 
 import helpers
 
@@ -183,6 +186,14 @@ def test_gen_verify_keeps_chi_when_a_pattern_check_runs_out(capsys):
     assert rep["budget_exceeded"] == "pattern search budget"
 
 
+def test_gen_verify_keeps_chi_bounds_when_the_chi_check_runs_out(capsys):
+    # at 5 steps neither the chi check (9) nor the c3_1_2_2 search (19) finishes
+    code = main(["--budget", "5", "gen", "c122", "--k", "3", "--verify"])
+    rep = json.loads(capsys.readouterr().out)["verification"]
+    assert code == 0 and rep["chi"] is None and rep["chi_bounds"] == [2, 3]
+    assert rep["chi_ok"] is None and rep["free"] == {"c3_1_2_2": None}
+
+
 def test_verify_rejects_out_of_range_colours(files, capsys):
     code = main(["verify", files["c3"], "--colours", "0,0,0"])
     err = json.loads(capsys.readouterr().out)
@@ -218,6 +229,15 @@ def test_king_rechecks_its_claim(tmp_path, capsys, monkeypatch):
     assert code == 2 and err == {
         "type": "SelfCheckFailed",
         "message": "re-check failed: two steps from the king reach every vertex",
+    }
+    c3 = tmp_path / "c3.dg"  # every vertex is a 2-king
+    c3.write_text("digraph 3\n0 1\n1 2\n2 0\n")
+    monkeypatch.setattr(localstruct, "find_2king", lambda d: None)
+    code = main(["king", str(c3)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {
+        "type": "SelfCheckFailed",
+        "message": "re-check failed: no vertex reaches every vertex in two steps",
     }
 
 
@@ -373,3 +393,24 @@ def test_empty_digraph_gives_a_report(tmp_path, capsys, command, expected):
     rep = json.loads(out)
     assert code == 0 and out.count("\n") == 1
     assert {key: rep.get(key) for key in expected} == expected
+
+
+def test_pattern_name_help_lists_the_patterns():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    free = commands.choices["free"]
+    (action,) = [a for a in free._actions if "--pattern-name" in a.option_strings]
+    assert action.help == f"one of {sorted(PATTERNS)}"
+
+
+# usage and help output recorded under CPython 3.11 with COLUMNS=80 while
+# build_parser still read heroes.PATTERNS: writing the help out changed no byte
+HELP_CASES = json.loads((pathlib.Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_CASES,
+                         ids=[" ".join(c["argv"]) or "bare" for c in HELP_CASES])
+def test_help_output_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])

@@ -243,6 +243,19 @@ def test_verify_generated_keeps_chi_when_a_pattern_search_runs_out():
     assert rep2["free"] == {"c3_1_2_2": None, "c3": False} and rep2["free_ok"] is False
 
 
+def test_verify_generated_keeps_chi_bounds_when_the_chi_search_runs_out():
+    # on c122(3) the chi check needs 9 steps; at 5 it has proved 2 <= chi <= 3
+    c122 = gen_chordal_c122(3)
+    rep = verify_generated(c122, budget=5)
+    assert rep["chi"] is None and rep["chi_bounds"] == [2, 3] and rep["chi_ok"] is None
+    assert rep["free"] == {"c3_1_2_2": None} and rep["budget_exceeded"] == "pattern search budget"
+    # a claim outside the proved bounds is refuted without the exact value
+    wrong = GeneratedDigraph(c122.digraph, "c122", {}, claimed_chi=4)
+    rep2 = verify_generated(wrong, budget=5)
+    assert rep2["chi"] is None and rep2["chi_ok"] is False
+    assert rep2["budget_exceeded"] == "budget exceeded (bounds: 2..3)"
+
+
 def test_herofree_level_three_builds_and_caps():
     g3 = gen_chordal_hero_free(3)
     assert g3.claimed_chi == 3 and g3.digraph.n > 1000
