@@ -507,11 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_command(argv: list[str]) -> tuple[dict, int]:
-    """Execute a command line; returns (report, exit code)."""
+def run_command(argv: list[str]) -> tuple[dict | None, int]:
+    """Execute a command line; returns (report, exit code), with no report
+    after --help, whose printed help is the whole answer."""
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:  # argparse exits with 0 once it printed the help
+            return None, 0
         raise UsageError("bad usage") from exc
     if ns.budget is None:
         env = os.environ.get("DICHROMA_BUDGET")
@@ -538,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run_command(argv)
     except DichromaError as exc:
         report, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
-    print(json.dumps(report, sort_keys=True))
+    if report is not None:
+        print(json.dumps(report, sort_keys=True))
     return code
 
 

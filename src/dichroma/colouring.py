@@ -360,11 +360,11 @@ def exact_dichromatic(d: Digraph, budget: int | None = None) -> ExactResult:
     DSATUR branch-and-bound, which colours next the uncoloured vertex with
     the fewest open colours (ties: most neighbours, then least index), and
     symmetry breaking on first use of each colour.  Each class keeps its
-    internal reachability bitsets and each uncoloured vertex its set of
-    colours still open, so an insertion updates both with a few word
-    operations per vertex instead of re-checking whole classes for
-    acyclicity.  A branch is cut as soon as an uncoloured vertex has no
-    open colour left.
+    internal reachability bitsets, each colour c the bitset open_[c] of the
+    vertices it is still open to, and buckets shut[j] the uncoloured
+    vertices with j colours shut, so a search node costs a few word
+    operations per colour.  A branch is cut as soon as an uncoloured
+    vertex has no open colour left.
 
     `budget` caps total search nodes.  Exhausting it raises BudgetExceeded
     with bounds that hold for the whole input: the lower bound is the
@@ -445,81 +445,93 @@ def _feasible_k(d: Digraph, k: int, steps: Budget) -> list[int] | None:
     with the most neighbours, then the least index.  One step per search
     node; k is the value under test, so every smaller one was refuted and
     k bounds the component from below."""
-    n = d.n
-    out_masks = d.out_masks
-    in_masks = d.in_masks
-    minus_degree = [-m.bit_count() for m in d.und_masks]
+    n, out_masks, in_masks = d.n, d.out_masks, d.in_masks
+    degree = [nbrs.bit_count() for nbrs in d.und_masks]
+    degree_classes = [mask_of(v for v in range(n) if degree[v] == g)
+                      for g in sorted(set(degree), reverse=True)]
     colour = [0] * n
     # Invariants at every node of the search, for each colour c:
     # - members[c] lists the vertices of class c, and reach[c][x] is the
     #   bitset of class-c vertices reachable from x inside class c (x
     #   included; 0 for x outside the class).  An insertion replaces the
     #   row reach[c] by an updated copy, so backtracking puts the old back;
-    # - bit c of dom[w] is set iff the class c plus an uncoloured vertex w
-    #   is acyclic.  Inserting v into c changes class c only, so it can
-    #   clear bit c of dom and nothing else.
+    # - bit w of open_[c] is set iff class c plus an uncoloured w is
+    #   acyclic.  Inserting v into c can shrink open_[c] and nothing else;
+    # - shut[j] is the bitset of the uncoloured vertices with j colours
+    #   shut.  Only a used colour can be shut, so of the colours a node may
+    #   try, 1..min(used + 1, k), the fewest open means the most shut.
+    # A node owns its open_ and shut; each child gets updated copies.
     members: list[list[int]] = [[] for _ in range(k + 1)]
     reach = [[0] * n for _ in range(k + 1)]
-    dom = [(1 << (k + 1)) - 2] * n
 
-    def dfs(rest: list[int], used: int) -> bool:
+    def dfs(rest: int, used: int, open_: list[int], shut: list[int]) -> bool:
         if not rest:
             return True
         steps.tick(k)
-        top = min(used + 1, k)
-        t1 = (1 << (top + 1)) - 2
-        # rest ascends, so min breaks the remaining ties by index
-        v = min(rest, key=lambda w: ((dom[w] & t1).bit_count(), minus_degree[w]))
-        later = [w for w in rest if w != v]
-        inv = in_masks[v]
-        outv = out_masks[v]
-        for c in range(1, top + 1):
-            bit = 1 << c
-            if not dom[v] & bit:
+        j = used  # the most colours a vertex can have shut
+        while not shut[j]:
+            j -= 1
+        for cls in degree_classes:  # then the most neighbours
+            pick = shut[j] & cls
+            if pick:
+                break
+        v_bit = pick & -pick  # then the least index
+        v = v_bit.bit_length() - 1
+        later = rest ^ v_bit
+        inv, outv = in_masks[v], out_masks[v]
+        for c in range(1, min(used + 1, k) + 1):
+            if not open_[c] & v_bit:
                 continue
-            # Class c plus v is acyclic.  reach_v: what v reaches in the
-            # new class; above: the members that reach v (v included).
+            # Class c plus v is acyclic.  reach_v: what v reaches in the new
+            # class; heads: its out-neighbours; tails: the in-neighbours of
+            # the members that reach v (v included); gainers: those but v.
             row = reach[c]
-            reach_v = above = 1 << v
+            reach_v = v_bit
+            tails = inv
             gainers = []
             for x in members[c]:
                 rx = row[x]
                 if outv >> x & 1:
                     reach_v |= rx
                 if rx & inv:
-                    above |= 1 << x
+                    tails |= in_masks[x]
                     gainers.append(x)
+            heads = outv
+            m = reach_v ^ v_bit
+            while m:
+                low = m & -m
+                heads |= out_masks[low.bit_length() - 1]
+                m ^= low
             # An uncoloured w loses colour c iff it closes a dicycle through
-            # v: an arc from w into `above` and one from `reach_v` into w.
-            # Only such a w can run out of colours in 1..t2: t2 never
-            # shrinks down a branch, and every other w passed one level up.
-            t2 = (1 << (min(max(used, c) + 1, k) + 1)) - 2
-            cleared = []
-            ok = True
-            for w in later:
-                if dom[w] & bit and in_masks[w] & reach_v and out_masks[w] & above:
-                    dom[w] ^= bit
-                    cleared.append(w)
-                    if not dom[w] & t2:
-                        ok = False
-                        break
-            if ok:
-                new_row = row[:]
-                new_row[v] = reach_v
-                for x in gainers:
-                    new_row[x] |= reach_v
-                reach[c] = new_row
-                members[c].append(v)
-                colour[v] = c
-                if dfs(later, max(used, c)):
-                    return True
-                colour[v] = 0
-                members[c].pop()
-                reach[c] = row
-            for w in cleared:
-                dom[w] |= bit
+            # v: an arc into w from reach_v and one out of w into a member
+            # that reaches v.  Only such a w can run out of colours, and it
+            # does iff c was its one open colour: it sat in shut[k - 1].
+            cleared = open_[c] & later & heads & tails
+            if cleared & shut[k - 1]:
+                continue
+            new_used = max(used, c)
+            child_open = open_[:]
+            child_open[c] ^= cleared
+            child_shut = shut[:]
+            child_shut[j] ^= v_bit
+            # each cleared w moves up one bucket; c was open to it, so it
+            # had at most new_used - 1 colours shut
+            for i in range(new_used - 1, -1, -1):
+                moved = child_shut[i] & cleared
+                child_shut[i] ^= moved
+                child_shut[i + 1] |= moved
+            new_row = row[:]
+            new_row[v] = reach_v
+            for x in gainers:
+                new_row[x] |= reach_v
+            reach[c] = new_row
+            members[c].append(v)
+            colour[v] = c
+            if dfs(later, new_used, child_open, child_shut):
+                return True
+            members[c].pop()
+            reach[c] = row
         return False
 
-    if dfs(list(range(n)), 0):
-        return colour
-    return None
+    full = (1 << n) - 1
+    return colour if dfs(full, 0, [full] * (k + 1), [full] + [0] * k) else None

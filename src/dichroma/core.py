@@ -90,8 +90,11 @@ class Digraph:
         return Digraph(self.n, self.arcs - frozenset(gone))
 
     def induced(self, vertices: Sequence[int]) -> tuple["Digraph", list[int]]:
-        """Induced subdigraph plus the list mapping new index -> old label."""
+        """Induced subdigraph plus the list mapping new index -> old label
+        (the digraph itself when that is every vertex)."""
         labels = sorted(set(vertices))
+        if labels == list(range(self.n)):
+            return self, labels
         pos = {v: i for i, v in enumerate(labels)}
         arcs = frozenset(
             (pos[u], pos[v]) for u, v in self.arcs if u in pos and v in pos

@@ -157,6 +157,99 @@ def backtrack_transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     return out
 
 
+# --- exact dicolouring search with per-vertex open-colour sets ------------
+# The search colouring.py ran before its transposed open-colour bitsets and
+# shut-colour buckets: each node re-scores every uncoloured vertex and
+# forward-checks them one at a time.  Same tree, same steps.
+
+
+def dsatur_feasible_k(d: Digraph, k: int, steps: Budget) -> list[int] | None:
+    """Depth-first search for a k-dicolouring that branches on the most
+    constrained vertex (DSATUR, Brelaz 1979): the uncoloured vertex with
+    the fewest open colours among those a branch may try, then the one
+    with the most neighbours, then the least index.  One step per search
+    node; k is the value under test, so every smaller one was refuted and
+    k bounds the component from below."""
+    n = d.n
+    out_masks = d.out_masks
+    in_masks = d.in_masks
+    minus_degree = [-m.bit_count() for m in d.und_masks]
+    colour = [0] * n
+    # Invariants at every node of the search, for each colour c:
+    # - members[c] lists the vertices of class c, and reach[c][x] is the
+    #   bitset of class-c vertices reachable from x inside class c (x
+    #   included; 0 for x outside the class).  An insertion replaces the
+    #   row reach[c] by an updated copy, so backtracking puts the old back;
+    # - bit c of dom[w] is set iff the class c plus an uncoloured vertex w
+    #   is acyclic.  Inserting v into c changes class c only, so it can
+    #   clear bit c of dom and nothing else.
+    members: list[list[int]] = [[] for _ in range(k + 1)]
+    reach = [[0] * n for _ in range(k + 1)]
+    dom = [(1 << (k + 1)) - 2] * n
+
+    def dfs(rest: list[int], used: int) -> bool:
+        if not rest:
+            return True
+        steps.tick(k)
+        top = min(used + 1, k)
+        t1 = (1 << (top + 1)) - 2
+        # rest ascends, so min breaks the remaining ties by index
+        v = min(rest, key=lambda w: ((dom[w] & t1).bit_count(), minus_degree[w]))
+        later = [w for w in rest if w != v]
+        inv = in_masks[v]
+        outv = out_masks[v]
+        for c in range(1, top + 1):
+            bit = 1 << c
+            if not dom[v] & bit:
+                continue
+            # Class c plus v is acyclic.  reach_v: what v reaches in the
+            # new class; above: the members that reach v (v included).
+            row = reach[c]
+            reach_v = above = 1 << v
+            gainers = []
+            for x in members[c]:
+                rx = row[x]
+                if outv >> x & 1:
+                    reach_v |= rx
+                if rx & inv:
+                    above |= 1 << x
+                    gainers.append(x)
+            # An uncoloured w loses colour c iff it closes a dicycle through
+            # v: an arc from w into `above` and one from `reach_v` into w.
+            # Only such a w can run out of colours in 1..t2: t2 never
+            # shrinks down a branch, and every other w passed one level up.
+            t2 = (1 << (min(max(used, c) + 1, k) + 1)) - 2
+            cleared = []
+            ok = True
+            for w in later:
+                if dom[w] & bit and in_masks[w] & reach_v and out_masks[w] & above:
+                    dom[w] ^= bit
+                    cleared.append(w)
+                    if not dom[w] & t2:
+                        ok = False
+                        break
+            if ok:
+                new_row = row[:]
+                new_row[v] = reach_v
+                for x in gainers:
+                    new_row[x] |= reach_v
+                reach[c] = new_row
+                members[c].append(v)
+                colour[v] = c
+                if dfs(later, max(used, c)):
+                    return True
+                colour[v] = 0
+                members[c].pop()
+                reach[c] = row
+            for w in cleared:
+                dom[w] |= bit
+        return False
+
+    if dfs(list(range(n)), 0):
+        return colour
+    return None
+
+
 # --- minimum acyclic partition by restricted growth strings ----------------
 
 

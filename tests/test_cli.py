@@ -403,7 +403,9 @@ def test_pattern_name_help_lists_the_patterns():
 
 
 # usage and help output recorded under CPython 3.11 with COLUMNS=80 while
-# build_parser still read heroes.PATTERNS: writing the help out changed no byte
+# build_parser still read heroes.PATTERNS: writing the help out changed no
+# byte.  The --help entries were recorded again when asking for help stopped
+# printing a usage error after it: the help alone, exit code 0.
 HELP_CASES = json.loads((pathlib.Path(__file__).parent / "cli_help.json").read_text())
 
 

@@ -54,6 +54,14 @@ def test_degree_symbols():
     assert transitive_tournament(4).is_oriented
 
 
+def test_induced_on_every_vertex_is_the_digraph_itself():
+    d = build_digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    whole, labels = d.induced([3, 1, 0, 2, 1])
+    assert whole is d and labels == [0, 1, 2, 3]
+    sub, labels = d.induced([2, 0, 1])
+    assert labels == [0, 1, 2] and sub.arcs == {(0, 1), (1, 2), (2, 0)}
+
+
 def test_strong_components_examples():
     assert [sorted(p) for p in strong_components(dicycle(3)).parts] == [[0, 1, 2]]
     tt3 = transitive_tournament(3)

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
-from dichroma.colouring import exact_dichromatic, verify_dicolouring
-from dichroma.core import build_digraph
+from dichroma.colouring import _feasible_k, exact_dichromatic, verify_dicolouring
+from dichroma.core import Budget, build_digraph
 from dichroma.errors import BudgetExceeded
 from dichroma.families import sym_complete
-from dichroma.heroes import gen_fk
+from dichroma.heroes import gen_chordal_c122, gen_fk
+
+from helpers import dsatur_feasible_k, random_digraph
 
 
 def _strong_tournament(rng, n):
@@ -108,6 +110,28 @@ def test_fk_solved_within_budget_under_every_relabelling():
         res = exact_dichromatic(e, budget=2000)
         assert res.value == 4
         assert verify_dicolouring(e, res.colouring).valid
+
+
+def _assert_same_search(d, k):
+    new, old = Budget(None), Budget(None)
+    assert _feasible_k(d, k, new) == dsatur_feasible_k(d, k, old), (sorted(d.arcs), k)
+    assert new.steps == old.steps, (sorted(d.arcs), k)
+
+
+def test_search_matches_per_vertex_oracle():
+    # the same colouring or None after the same number of steps as the
+    # search that re-scored and forward-checked one vertex at a time
+    rng = random.Random(20)
+    for _ in range(2000):
+        d = random_digraph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.7))
+        for k in range(1, 5):
+            _assert_same_search(d, k)
+    named = [gen_fk(3, 3), gen_fk(3, 4), gen_chordal_c122(2), gen_chordal_c122(3)]
+    for gen in named:
+        for seed in range(4):
+            e = _relabel(gen.digraph, random.Random(seed))
+            for k in range(1, exact_dichromatic(e).value + 1):
+                _assert_same_search(e, k)
 
 
 # Colourings and exact node counts of the DSATUR search, which branches on
