@@ -378,6 +378,36 @@ def test_bad_environment_file_or_parameter_is_json_error(
 
 
 @pytest.mark.parametrize(
+    "content, error, message",
+    [
+        ("", "FileSyntaxError", "line 1: empty file"),
+        ("\n# only a comment\n", "FileSyntaxError", "line 1: empty file"),
+        ("foo\n", "FileSyntaxError", "line 1: unknown header 'foo'"),
+        ("foo 3 4\n", "FileSyntaxError", "line 1: unknown header 'foo'"),
+        ("# c\n\nfoo x\n0 1\n", "FileSyntaxError", "line 1: unknown header 'foo'"),
+        ("graph 3\na b\n", "FileSyntaxError", "line 1: unknown header 'graph'"),
+        ("digraph\n", "FileSyntaxError", "line 1: header must be '<kind> <n>'"),
+        ("multigraph x 1\n", "FileSyntaxError", "line 1: header must be '<kind> <n>'"),
+        ("\n# c\ndigraph x\n", "FileSyntaxError", "line 3: vertex count is not an integer"),
+        ("digraph 3\n0 1 2\n", "FileSyntaxError", "line 2: expected two endpoints"),
+        ("digraph 3\n1 2\n#\n2 x\n", "FileSyntaxError", "line 4: endpoints are not integers"),
+        ("digraph 3\n0 0\n", "FileSemanticError", "line 2: loop at vertex 0"),
+        ("digraph 3\n0 1\n0 1\n", "FileSemanticError", "line 3: duplicate arc (0, 1)"),
+        ("digraph 3\n0 5\n", "FileSemanticError", "line 2: arc (0, 5) outside 0..2"),
+        ("digraph -1\n", "FileSemanticError", "line 1: negative vertex count -1"),
+        ("multigraph 3\n0 0\n", "FileSemanticError", "line 2: loop at vertex 0"),
+        ("multigraph 3\n0 9\n", "FileSemanticError", "line 2: edge (0, 9) outside 0..2"),
+    ],
+)
+def test_malformed_file_error_type_message_and_line(tmp_path, capsys, content, error, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    code = main(["chi", str(path)])
+    assert code == 2 and json.loads(capsys.readouterr().out)["error"] == {
+        "type": error, "message": message}
+
+
+@pytest.mark.parametrize(
     "command, expected",
     [
         ("round", {"in_round": True, "order": []}),

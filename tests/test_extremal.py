@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import os
 import random
 
@@ -211,6 +213,43 @@ def test_recognizer_star_join():
     # one-arc perturbation breaks the degree balance and is rejected fast
     arc = next(iter(star.arcs))
     assert not recognize_k_extremal(star.remove_arcs([arc]), 3).extremal
+
+
+def _pinned_certificate_inputs():
+    """(digraph, k, root kind, sha256 of the sorted-key JSON certificate):
+    one recognized digraph per certificate kind, built by the public
+    constructors.  The parallel join's host is a bidirected join and its
+    A/C child is a star join."""
+    k4 = sym_complete(4)
+    host = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
+    star_parts = [k4_arcs([0, 1, 4, 5]), k4_arcs([0, 2, 6, 7]), k4_arcs([0, 3, 8, 9])]
+    wheel = [(i, j) for i in range(1, 6) for j in (0, 1 + i % 5, 1 + (i + 3) % 5)]
+    wheel += [(0, i) for i in range(1, 6)]
+    return [
+        (directed_hajos_join(k4, (0, 1), k4, (2, 3)), 3, "DirectedHajosJoin",
+         "8998af34bb6c6120dc92c66043edea6ce0be37d4ba7bb7c94220d0816b23d0b8"),
+        (parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3}, k4, 0, 1), 3,
+         "ParallelHajosJoin",
+         "67f1bddd713a543bf6383b403d69e3bb4a827f91607752b2c395b73ff3dc9b22"),
+        (hajos_star_join(10, 0, [1, 2, 3], star_parts), 3, "HajosStarJoin",
+         "3b9a27cacb6ae21f26bc8a9e71f73ede7e7b37328b2d2c745209132882b5b510"),
+        (sym_complete(5), 4, "BaseSymmetricComplete",
+         "1841d002416e3642ac6e3989d98ad16b0fcacd5110e7afda9d6f9c8a6111ef8b"),
+        (build_digraph(6, wheel), 3, "BaseSymmetricOddWheel",
+         "edf7920545879ef2f599ae7489a89bb372df9542a115ffd3bb3a27ca180136a1"),
+        (dicycle(5), 1, "BaseDirectedCycle",
+         "e1ae1d8c32233ac249c76d02d209ab5cf0f14c48dd3adbb41d94b170692c93a2"),
+    ]
+
+
+@pytest.mark.parametrize("d, k, kind, digest", _pinned_certificate_inputs())
+def test_certificate_bytes_are_pinned(d, k, kind, digest):
+    # certificates are part of the output contract: a refactor of the joins
+    # or the split finders must leave every byte of them as it was
+    cert = recognize_k_extremal(d, k).certificate
+    assert cert.kind == kind and cert.replay_arcs() == d.arcs
+    text = json.dumps(extremal.certificate_to_dict(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _lowpoint_spy(monkeypatch) -> list:
