@@ -83,7 +83,6 @@ _HOMES = {
     ),
     extremal: (
         "CertNode",
-        "DecompositionCertificate",
         "LambdaProfile",
         "check_2_extremal",
         "check_extremal_necessary",

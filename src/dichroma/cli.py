@@ -40,10 +40,20 @@ from .families import shannon_multigraph
 
 
 def parse_digraph_file(text: str) -> Digraph:
-    header, rows = _parse_rows(text)
-    kind, n = header
+    (kind, n), rows = _parse_rows(text)
     if kind != "digraph":
         raise FileSyntaxError(f"expected 'digraph' header, got {kind!r}", 1)
+    return _digraph_of(n, rows)
+
+
+def parse_multigraph_file(text: str) -> Multigraph:
+    (kind, n), rows = _parse_rows(text)
+    if kind != "multigraph":
+        raise FileSyntaxError(f"expected 'multigraph' header, got {kind!r}", 1)
+    return _multigraph_of(n, rows)
+
+
+def _digraph_of(n: int, rows) -> Digraph:
     try:
         return build_digraph(n, [e for _, e in rows])
     except (LoopArc, DuplicateArc) as exc:
@@ -53,11 +63,7 @@ def parse_digraph_file(text: str) -> Digraph:
         raise FileSemanticError(str(exc), rows[0][0] if rows else 1) from exc
 
 
-def parse_multigraph_file(text: str) -> Multigraph:
-    header, rows = _parse_rows(text)
-    kind, n = header
-    if kind != "multigraph":
-        raise FileSyntaxError(f"expected 'multigraph' header, got {kind!r}", 1)
+def _multigraph_of(n: int, rows) -> Multigraph:
     try:
         return build_multigraph(n, [e for _, e in rows])
     except DichromaError as exc:
@@ -73,6 +79,8 @@ def _parse_rows(text: str):
             continue
         toks = line.split()
         if header is None:
+            if toks[0] not in ("digraph", "multigraph"):
+                raise FileSyntaxError(f"unknown header {toks[0]!r}", 1)
             if len(toks) != 2:
                 raise FileSyntaxError("header must be '<kind> <n>'", line_no)
             try:
@@ -122,18 +130,8 @@ def _load_graph(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            kind = line.split()[0]
-            break
-    else:
-        raise FileSyntaxError("empty file", 1)
-    if kind == "digraph":
-        return parse_digraph_file(text), text
-    if kind == "multigraph":
-        return parse_multigraph_file(text), text
-    raise FileSyntaxError(f"unknown header {kind!r}", 1)
+    (kind, n), rows = _parse_rows(text)
+    return (_digraph_of if kind == "digraph" else _multigraph_of)(n, rows), text
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -28,9 +28,11 @@ from .core import (
     bits,
     build_digraph,
     components,
+    contract,
     cut_labels,
     lowpoints,
     mask_of,
+    partition,
     reach,
 )
 from .errors import (
@@ -205,14 +207,53 @@ def lambda_profile(d: Digraph) -> LambdaProfile:
 # joins
 
 
-def _append_mapping(n1: int, n2: int, glued: dict[int, int]) -> dict[int, int]:
-    mapping = dict(glued)
-    nxt = n1
-    for x in range(n2):
-        if x not in mapping:
-            mapping[x] = nxt
-            nxt += 1
-    return mapping
+def _append_mapping(n1: int, n2: int, glued: dict[int, int]) -> list[int]:
+    """The labels of a second digraph's vertices 0..n2-1 appended to a first
+    one's 0..n1-1: glued[x] for a glued x, the next free label for the rest."""
+    free = iter(range(n1, n1 + n2))
+    return [glued[x] if x in glued else next(free) for x in range(n2)]
+
+
+def _embed(arcs: Iterable[Arc], emb: Sequence[int]) -> set[Arc]:
+    return {(emb[p], emb[q]) for p, q in arcs}
+
+
+def _ring(order: Sequence[int]) -> set[Arc]:
+    """The dicycle order[0] -> order[1] -> ... -> order[0]."""
+    return {(z, order[(i + 1) % len(order)]) for i, z in enumerate(order)}
+
+
+ChildArcs = Sequence[tuple[Iterable[Arc], Sequence[int]]]  # (arcs, embedding) per child
+
+
+def _directed_join(children: ChildArcs, u: int, v: int, w: int) -> set[Arc]:
+    """The directed Hajos join in parent labels: the first child without
+    u->v and the second without v->w, sharing v, plus the arc u->w."""
+    (arcs1, emb1), (arcs2, emb2) = children
+    return _embed(arcs1, emb1) - {(u, v)} | _embed(arcs2, emb2) - {(v, w)} | {(u, w)}
+
+
+def _tree_join(children: ChildArcs, edges: Sequence[Arc], order: Sequence[int]) -> set[Arc]:
+    """The tree (or star) Hajos join in parent labels: child i without the
+    digon on tree edge i, plus the peripheral dicycle through order."""
+    arcs = _ring(order)
+    for (child, emb), (p, q) in zip(children, edges):
+        arcs |= _embed(child, emb) - {(p, q), (q, p)}
+    return arcs
+
+
+def _parallel_join(children: ChildArcs, a: int, b: int, a_side: Iterable[int]) -> set[Arc]:
+    """The parallel Hajos join in parent labels: the B child without its
+    digon [a, b], and the A/C child with its vertex x (embedded as -1)
+    split in two: a takes x's arcs to and from a_side (A/C child labels),
+    b the rest."""
+    (ac_arcs, ac_emb), (b_arcs, b_emb) = children
+    a_side = set(a_side)
+
+    def at(z: int, other: int) -> int:
+        return ac_emb[z] if ac_emb[z] != -1 else a if other in a_side else b
+
+    return _embed(b_arcs, b_emb) - {(a, b), (b, a)} | {(at(p, q), at(q, p)) for p, q in ac_arcs}
 
 
 def directed_hajos_join(d1: Digraph, arc1: Arc, d2: Digraph, arc2: Arc) -> Digraph:
@@ -229,13 +270,9 @@ def directed_hajos_join(d1: Digraph, arc1: Arc, d2: Digraph, arc2: Arc) -> Digra
         raise MissingArc(f"{arc1} not in first digraph")
     if arc2 not in d2.arcs:
         raise MissingArc(f"{arc2} not in second digraph")
-    mapping = _append_mapping(d1.n, d2.n, {v2: v1})
-    arcs = set(d1.arcs) - {arc1}
-    for a, b in d2.arcs:
-        if (a, b) != arc2:
-            arcs.add((mapping[a], mapping[b]))
-    arcs.add((u, mapping[w]))
-    return build_digraph(d1.n + d2.n - 1, arcs)
+    emb2 = _append_mapping(d1.n, d2.n, {v2: v1})
+    children = [(d1.arcs, range(d1.n)), (d2.arcs, emb2)]
+    return build_digraph(d1.n + d2.n - 1, _directed_join(children, u, v1, emb2[w]))
 
 
 @dataclass(frozen=True)
@@ -272,15 +309,9 @@ def hajos_bijoin(
         raise PreconditionViolated("t and w separate when a1 is removed")
     if not _joined(d2.und_masks, (1 << d2.n) - 1 & ~(1 << a2), u, v):
         raise PreconditionViolated("u and v separate when a2 is removed")
-    mapping = _append_mapping(d1.n, d2.n, {a2: a1})
-    arcs = set(d1.arcs) - {(t, a1), (a1, w)}
-    for x, y in d2.arcs:
-        if (x, y) in {(v, a2), (a2, u)}:
-            continue
-        arcs.add((mapping[x], mapping[y]))
-    arcs.add((t, mapping[u]))
-    arcs.add((mapping[v], w))
-    dig = build_digraph(d1.n + d2.n - 1, arcs)
+    emb2 = _append_mapping(d1.n, d2.n, {a2: a1})
+    arcs = d1.arcs - {(t, a1), (a1, w)} | _embed(d2.arcs - {(v, a2), (a2, u)}, emb2)
+    dig = build_digraph(d1.n + d2.n - 1, arcs | {(t, emb2[u]), (emb2[v], w)})
     return BijoinResult(
         dig, degenerate=(t == w) != (u == v), bidirected=(t == w and u == v)
     )
@@ -358,7 +389,6 @@ def hajos_tree_join(
                 used.add((a, b))
     part_arcs = [frozenset(p) for p in parts]
     owner: dict[int, int] = {}
-    arcs: set[Arc] = set()
     for i, ((ui, vi), pa) in enumerate(zip(tree_edges, part_arcs)):
         if (ui, vi) not in pa or (vi, ui) not in pa:
             raise MissingDigon(f"part {i} lacks the digon on tree edge ({ui}, {vi})")
@@ -369,15 +399,11 @@ def hajos_tree_join(
             if x in owner:
                 raise InvalidInput(f"vertex {x} shared by parts {owner[x]} and {i}")
             owner[x] = i
-        arcs |= pa - {(ui, vi), (vi, ui)}
-    for i, v in enumerate(order):
-        wv = order[(i + 1) % len(order)]
-        if (v, wv) in arcs:
-            raise InvalidInput(f"peripheral arc {v}->{wv} already present")
-        arcs.add((v, wv))
     if set(owner) | tree_vs != set(range(n)):
         raise InvalidInput("parts and tree do not cover exactly 0..n-1")
-    return build_digraph(n, arcs)
+    # the peripheral arcs join tree vertices, so no part, which holds no arc
+    # between tree vertices but its digon, already has one
+    return build_digraph(n, _tree_join([(p, range(n)) for p in part_arcs], tree_edges, order))
 
 
 def hajos_star_join(
@@ -416,7 +442,9 @@ def parallel_hajos_join(
     order, then the C side minus x.
     """
     aset = set(a_side)
-    if x not in aset or not 0 <= x < d_ac.n:
+    if not aset <= set(range(d_ac.n)):
+        raise PreconditionViolated("the A side must hold vertices of d_ac only")
+    if x not in aset:
         raise PreconditionViolated("x must be a vertex of the A side")
     cset = (set(range(d_ac.n)) - aset) | {x}
     if not (t in aset and w in aset and t != x and w != x):
@@ -437,23 +465,11 @@ def parallel_hajos_join(
         raise PreconditionViolated("t and w separate when x is removed")
     if not _joined(d_ac.und_masks, mask_of(cset - {x}), u, v):
         raise PreconditionViolated("u and v separate in the C side without x")
-    mapping: dict[int, int] = {}
-    nxt = d_b.n
-    for z in sorted(aset - {x}):
-        mapping[z] = nxt
-        nxt += 1
-    for z in sorted(cset - {x}):
-        mapping[z] = nxt
-        nxt += 1
-    arcs = set(d_b.arcs) - {(a, b), (b, a)}
-    for p, q in d_ac.arcs:
-        if p == x:
-            arcs.add((a if q in aset else b, mapping[q]))
-        elif q == x:
-            arcs.add((mapping[p], a if p in aset else b))
-        else:
-            arcs.add((mapping[p], mapping[q]))
-    return build_digraph(nxt, arcs)
+    emb_ac = [-1] * d_ac.n
+    for i, z in enumerate(sorted(aset - {x}) + sorted(cset - {x})):
+        emb_ac[z] = d_b.n + i
+    children = [(d_ac.arcs, emb_ac), (d_b.arcs, range(d_b.n))]
+    return build_digraph(d_b.n + d_ac.n - 1, _parallel_join(children, a, b, aset))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +513,15 @@ BASE_DICYCLE = "BaseDirectedCycle"
 JOIN_DIRECTED = "DirectedHajosJoin"
 JOIN_PARALLEL = "ParallelHajosJoin"
 JOIN_STAR = "HajosStarJoin"
-LEAF_ARCS = "RawArcs"  # internal: a child given by its explicit arc set
+
+# each join kind's arc rule, from its children's (arcs, embedding) and witness
+_JOINS = {
+    JOIN_DIRECTED: lambda kids, w: _directed_join(kids, w["u"], w["v"], w["w"]),
+    JOIN_STAR: lambda kids, w: _tree_join(
+        kids, [(w["centre"], p) for p in w["rim"]], w["rim"]
+    ),
+    JOIN_PARALLEL: lambda kids, w: _parallel_join(kids, w["a"], w["b"], w["a_side_child"]),
+}
 
 
 @dataclass(frozen=True)
@@ -516,63 +540,20 @@ class CertNode:
 
     def replay_arcs(self) -> frozenset[Arc]:
         """Rebuild the certified digraph's arc set by replaying the joins."""
-        if self.kind == LEAF_ARCS:
-            return self.witness["arcs"]
+        if self.kind in _JOINS:
+            kids = [(child.replay_arcs(), emb) for child, emb in self.children]
+            return frozenset(_JOINS[self.kind](kids, self.witness))
         if self.kind == BASE_COMPLETE:
             return frozenset(
                 (i, j) for i in range(self.n) for j in range(self.n) if i != j
             )
         if self.kind == BASE_DICYCLE:
-            cyc = self.witness["cycle"]
-            return frozenset(
-                (cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-            )
+            return frozenset(_ring(self.witness["cycle"]))
         if self.kind == BASE_ODD_WHEEL:
-            hub = self.witness["hub"]
-            rim = self.witness["rim"]
-            arcs: set[Arc] = set()
-            for i, r in enumerate(rim):
-                nxt = rim[(i + 1) % len(rim)]
-                arcs |= {(r, nxt), (nxt, r), (hub, r), (r, hub)}
-            return frozenset(arcs)
-        if self.kind == JOIN_DIRECTED:
-            (c1, e1), (c2, e2) = self.children
-            a1 = {(e1[p], e1[q]) for p, q in c1.replay_arcs()}
-            a2 = {(e2[p], e2[q]) for p, q in c2.replay_arcs()}
-            u, v, w = self.witness["u"], self.witness["v"], self.witness["w"]
-            return frozenset((a1 - {(u, v)}) | (a2 - {(v, w)}) | {(u, w)})
-        if self.kind == JOIN_STAR:
-            y = self.witness["centre"]
-            rim = self.witness["rim"]
-            arcs = set()
-            for (child, emb), p in zip(self.children, rim):
-                carcs = {(emb[a], emb[b]) for a, b in child.replay_arcs()}
-                arcs |= carcs - {(y, p), (p, y)}
-            for i, p in enumerate(rim):
-                arcs.add((p, rim[(i + 1) % len(rim)]))
-            return frozenset(arcs)
-        if self.kind == JOIN_PARALLEL:
-            a, b = self.witness["a"], self.witness["b"]
-            (cac, emb_ac), (cb, emb_b) = self.children
-            a_side_child = set(self.witness["a_side_child"])
-            arcs = set()
-            for p, q in cb.replay_arcs():
-                pa, qa = emb_b[p], emb_b[q]
-                if {pa, qa} == {a, b}:
-                    continue
-                arcs.add((pa, qa))
-            for p, q in cac.replay_arcs():
-                if emb_ac[p] == -1:
-                    arcs.add((a if q in a_side_child else b, emb_ac[q]))
-                elif emb_ac[q] == -1:
-                    arcs.add((emb_ac[p], a if p in a_side_child else b))
-                else:
-                    arcs.add((emb_ac[p], emb_ac[q]))
-            return frozenset(arcs)
+            hub, rim = self.witness["hub"], self.witness["rim"]
+            arcs = _ring(rim) | _ring(rim[::-1])
+            return frozenset(arcs | {(hub, r) for r in rim} | {(r, hub) for r in rim})
         raise InvalidInput(f"unknown certificate kind {self.kind}")
-
-
-DecompositionCertificate = CertNode
 
 
 def certificate_to_dict(node: CertNode) -> dict:
@@ -588,10 +569,6 @@ def certificate_to_dict(node: CertNode) -> dict:
             for ch, emb in node.children
         ],
     }
-
-
-def _leaf(d: Digraph) -> CertNode:
-    return CertNode(LEAF_ARCS, d.n, {"arcs": d.arcs})
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +724,8 @@ def _child_plus(d: Digraph, vertices: list[int], extra: list[Arc]) -> Child:
 
 
 def _verify_split(d: Digraph, kind: str, witness: dict, children: list[Child]) -> bool:
-    node = CertNode(
-        kind,
-        d.n,
-        witness,
-        tuple((_leaf(ch), emb) for ch, emb in children),
-    )
-    return node.replay_arcs() == d.arcs
+    """Does the join of this kind, replayed on the children, give d?"""
+    return _JOINS[kind]([(ch.arcs, emb) for ch, emb in children], witness) == d.arcs
 
 
 def _find_directed_split(d: Digraph, minus: Callable | None = None) -> Found | None:
@@ -856,8 +828,7 @@ def _find_star_split(d: Digraph, minus: Callable | None = None) -> Found | None:
             rim = path
             if any(d.has_arc(y, p) or d.has_arc(p, y) for p in rim):
                 continue
-            cyc_arcs = {(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))}
-            comps = components(_underlying(d, keep, cyc_arcs)[0], keep)
+            comps = components(_underlying(d, keep, _ring(rim))[0], keep)
             if len(comps) != len(rim):
                 continue
             comp_of = [next(c for c in comps if c >> p & 1) for p in rim]
@@ -962,25 +933,13 @@ def _validate_parallel(
         if a_nbrs & comp_c or b_nbrs & comp_a:
             continue
         child_b = _child_plus(d, bits(b_union | 1 << a | 1 << b), [(a, b), (b, a)])
+        # the A/C child: A and C with a and b merged into x, its last vertex
+        # (a has no neighbour in C, nor b in A)
         labels_ac = bits(comp_a | comp_c)
-        pos = {lab: i for i, lab in enumerate(labels_ac)}
-        x_child = len(labels_ac)
-        arcs_ac: set[Arc] = set()
-        for p, q in d.arcs:
-            if p in pos and q in pos:
-                arcs_ac.add((pos[p], pos[q]))
-            elif p == a and comp_a >> q & 1:
-                arcs_ac.add((x_child, pos[q]))
-            elif q == a and comp_a >> p & 1:
-                arcs_ac.add((pos[p], x_child))
-            elif p == b and comp_c >> q & 1:
-                arcs_ac.add((x_child, pos[q]))
-            elif q == b and comp_c >> p & 1:
-                arcs_ac.add((pos[p], x_child))
-        child_ac: Child = (
-            Digraph(x_child + 1, frozenset(arcs_ac)),
-            tuple(labels_ac) + (-1,),
-        )
+        sub, labels = d.induced(labels_ac + [a, b])
+        pos = {z: i for i, z in enumerate(labels)}
+        x_parts = [{pos[z]} for z in labels_ac] + [{pos[a], pos[b]}]
+        child_ac = contract(sub, partition(sub.n, x_parts)), tuple(labels_ac) + (-1,)
         witness = {
             "t": t,
             "u": u,
@@ -988,7 +947,7 @@ def _validate_parallel(
             "w": w,
             "a": a,
             "b": b,
-            "a_side_child": tuple(pos[z] for z in bits(comp_a)),
+            "a_side_child": tuple(i for i, z in enumerate(labels_ac) if comp_a >> z & 1),
         }
         children = [child_ac, child_b]
         if _verify_split(d, JOIN_PARALLEL, witness, children):
@@ -1115,9 +1074,7 @@ def generalized_wheel(children: Sequence[Sequence[int]]) -> Digraph:
         raise InvalidInput("need at least two leaves for the peripheral dicycle")
     if len({depth[v] % 2 for v in order}) > 1:
         raise ParityViolated("root-to-leaf paths have mixed parity")
-    for i, v in enumerate(order):
-        arcs.add((v, order[(i + 1) % len(order)]))
-    return build_digraph(n, arcs)
+    return build_digraph(n, arcs | _ring(order))
 
 
 def check_2_extremal(d: Digraph) -> bool:

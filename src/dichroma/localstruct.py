@@ -37,9 +37,11 @@ from .errors import (
 
 def _is_tournament(d: Digraph, s: int) -> bool:
     """Does the vertex bitset s induce a tournament?"""
-    return _is_semicomplete(d, s) and not any(
-        d.out_masks[v] & d.in_masks[v] & s for v in bits(s)  # a digon inside s
-    )
+    return _is_semicomplete(d, s) and _digon_free(d, s)
+
+
+def _digon_free(d: Digraph, s: int) -> bool:
+    return not any(d.out_masks[v] & d.in_masks[v] & s for v in bits(s))
 
 
 def _is_semicomplete(d: Digraph, s: int) -> bool:
@@ -82,22 +84,26 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
     for v in range(d.n):
         outs = d.out_masks[v]
         ins = d.in_masks[v]
-        if not _is_semicomplete(d, outs):
+        # each predicate once per neighbourhood, as `_is_tournament` and
+        # `_is_transitive_tournament` would build them
+        semi_out = _is_semicomplete(d, outs)
+        semi_in = _is_semicomplete(d, ins)
+        tour_out = semi_out and _digon_free(d, outs)
+        tour_in = semi_in and _digon_free(d, ins)
+        trans_out = tour_out and is_acyclic(d.out_masks, outs)
+        in_round = tour_out and is_acyclic(d.out_masks, ins)
+        if not semi_out:
             fail("locally_out_semicomplete", v)
             fail("locally_semicomplete", v)
-        if not _is_semicomplete(d, ins):
+        if not semi_in:
             fail("locally_semicomplete", v)
-        if not _is_transitive_tournament(d, outs):
+        if not trans_out:
             fail("locally_out_transitive", v)
-        if not _is_tournament(d, ins):
+        if not tour_in:
             fail("locally_in_tournament", v)
-        if not (
-            _is_tournament(d, outs) and is_acyclic(d.out_masks, ins)
-        ):
+        if not in_round:
             fail("in_round_condition", v)
-        if not (
-            _is_transitive_tournament(d, outs) and _is_transitive_tournament(d, ins)
-        ):
+        if not (trans_out and tour_in and in_round):
             fail("round_condition", v)
     return LocalClassFlags(**flags, witnesses=wit)
 

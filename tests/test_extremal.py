@@ -179,6 +179,10 @@ def test_parallel_join_forward_matches_recognizer_children():
     # violating the crossing-arc condition is rejected
     with pytest.raises(PreconditionViolated):
         parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2}, mid, 0, 1)
+    # so is an A side with a label that is not a host vertex
+    for stray in (99, -5):
+        with pytest.raises(PreconditionViolated):
+            parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3, stray}, mid, 0, 1)
 
 
 def test_recognizer_bases_and_refusals():
