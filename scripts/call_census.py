@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """List every function and method of src/dichroma that nothing calls.
 
-    python3 scripts/call_census.py --seed 1
+    python3 scripts/call_census.py --seed 1 [--corpora-only]
 
-Runs the tier-1 tests (tests/) in process, then every operation of the
-three benchmark corpora at the seed through `dichroma.cli.main` (as
-scripts/report_digest.py does), under `sys.setprofile` and
-`threading.setprofile`, both in a temporary directory.  Prints one line per
-function or method defined in src/dichroma that was never entered, as
-`module:line qualified.name`, in source order.  Class bodies, lambdas and
+Runs the tier-1 tests (tests/) in process, unless --corpora-only is given,
+then every operation of the three benchmark corpora at the seed through
+`dichroma.cli.main` (as scripts/report_digest.py does), under
+`sys.setprofile` and `threading.setprofile`, both in a temporary directory.
+Prints one line per function or method defined in src/dichroma that was
+never entered, as `module:line qualified.name`, in source order.  Class bodies, lambdas and
 comprehensions are left out.  The functions are compiled and keyed once,
 when the script starts, just after it imports dichroma, so a source edit
 during the run cannot shift their keys.  The pytest and corpus output goes
@@ -61,8 +61,9 @@ def defined() -> list[tuple[str, int, str]]:
     return sorted(out)
 
 
-def called(seed: int) -> set[tuple[str, int, str]]:
-    """The entries of `defined` that the tests and the corpora enter."""
+def called(seed: int, tests: bool) -> set[tuple[str, int, str]]:
+    """The entries of `defined` that the corpora, and the tests if `tests`,
+    enter."""
     seen: set[CodeType] = set()
 
     def profile(frame, event, arg):
@@ -74,9 +75,11 @@ def called(seed: int) -> set[tuple[str, int, str]]:
         os.chdir(tmp)  # hypothesis keeps its example database here
         threading.setprofile(profile)
         sys.setprofile(profile)
+        code = 0
         try:
-            code = pytest.main(["-q", "-p", "no:cacheprovider",
-                                "--continue-on-collection-errors", os.path.join(ROOT, "tests")])
+            if tests:
+                code = pytest.main(["-q", "-p", "no:cacheprovider",
+                                    "--continue-on-collection-errors", os.path.join(ROOT, "tests")])
             for workload in sorted(report_digest.corpus.WORKLOADS):
                 report_digest.digests(workload, seed)
         finally:
@@ -91,9 +94,10 @@ def called(seed: int) -> set[tuple[str, int, str]]:
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--corpora-only", action="store_true", help="run the corpora, not the tests")
     args = ap.parse_args(argv)
     functions = defined()
-    hit = called(args.seed)
+    hit = called(args.seed, not args.corpora_only)
     for name, line, qualname in functions:
         if (name, line, qualname) not in hit:
             print(f"{name[:-3]}:{line} {qualname}")

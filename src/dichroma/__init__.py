@@ -67,6 +67,7 @@ _HOMES = {
         "build_multigraph",
         "contract",
         "euler_tour",
+        "lexicographic",
         "partition",
         "strong_components",
     ),
@@ -93,6 +94,7 @@ _HOMES = {
         "hajos_tree_join",
         "induced_cycle_hypergraph",
         "lambda_profile",
+        "local_lambda",
         "parallel_hajos_join",
         "recognize_k_extremal",
     ),

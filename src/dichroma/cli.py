@@ -29,10 +29,8 @@ from . import localstruct as loc_mod
 from .core import Digraph, Multigraph, build_digraph, build_multigraph
 from .errors import (
     DichromaError,
-    DuplicateArc,
     FileSemanticError,
     FileSyntaxError,
-    LoopArc,
     SelfCheckFailed,
     UsageError,
 )
@@ -40,34 +38,28 @@ from .families import shannon_multigraph
 
 
 def parse_digraph_file(text: str) -> Digraph:
-    (kind, n), rows = _parse_rows(text)
+    (kind, n, head), rows = _parse_rows(text)
     if kind != "digraph":
         raise FileSyntaxError(f"expected 'digraph' header, got {kind!r}", 1)
-    return _digraph_of(n, rows)
+    return _graph_of(kind, n, head, rows)
 
 
 def parse_multigraph_file(text: str) -> Multigraph:
-    (kind, n), rows = _parse_rows(text)
+    (kind, n, head), rows = _parse_rows(text)
     if kind != "multigraph":
         raise FileSyntaxError(f"expected 'multigraph' header, got {kind!r}", 1)
-    return _multigraph_of(n, rows)
+    return _graph_of(kind, n, head, rows)
 
 
-def _digraph_of(n: int, rows) -> Digraph:
+def _graph_of(kind: str, n: int, head: int, rows) -> Digraph | Multigraph:
+    """The graph of a parsed file; an invalid one is reported at its header
+    line for a negative vertex count, else at the first offending row."""
+    build = build_digraph if kind == "digraph" else build_multigraph
     try:
-        return build_digraph(n, [e for _, e in rows])
-    except (LoopArc, DuplicateArc) as exc:
-        offender = _find_offender(rows)
-        raise FileSemanticError(str(exc), offender) from exc
+        return build(n, [e for _, e in rows])
     except DichromaError as exc:
-        raise FileSemanticError(str(exc), rows[0][0] if rows else 1) from exc
-
-
-def _multigraph_of(n: int, rows) -> Multigraph:
-    try:
-        return build_multigraph(n, [e for _, e in rows])
-    except DichromaError as exc:
-        raise FileSemanticError(str(exc), rows[0][0] if rows else 1) from exc
+        line = head if n < 0 else _find_offender(rows, n, kind == "digraph")
+        raise FileSemanticError(str(exc), line) from exc
 
 
 def _parse_rows(text: str):
@@ -87,7 +79,7 @@ def _parse_rows(text: str):
                 n = int(toks[1])
             except ValueError:
                 raise FileSyntaxError("vertex count is not an integer", line_no, len(toks[0]) + 2)
-            header = (toks[0], n)
+            header = (toks[0], n, line_no)
             continue
         if len(toks) != 2:
             raise FileSyntaxError("expected two endpoints", line_no)
@@ -101,10 +93,12 @@ def _parse_rows(text: str):
     return header, rows
 
 
-def _find_offender(rows) -> int:
+def _find_offender(rows, n: int, digraph: bool) -> int:
+    """The line of the first row that is out of range, a loop, or, in a
+    digraph, a repeat: the row the builder rejects."""
     seen = set()
     for line_no, (u, v) in rows:
-        if u == v or (u, v) in seen:
+        if not (0 <= u < n and 0 <= v < n) or u == v or digraph and (u, v) in seen:
             return line_no
         seen.add((u, v))
     return rows[0][0] if rows else 1
@@ -130,8 +124,8 @@ def _load_graph(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    (kind, n), rows = _parse_rows(text)
-    return (_digraph_of if kind == "digraph" else _multigraph_of)(n, rows), text
+    (kind, n, head), rows = _parse_rows(text)
+    return _graph_of(kind, n, head, rows), text
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -227,11 +221,11 @@ def _brooks(ns, d) -> tuple[dict, int]:
 
 def _lambda(ns, d) -> tuple[dict, int]:
     prof = ext_mod.lambda_profile(d)
-    pair = prof.argmax()
+    pair = prof.pair
     rep = {"lambda": prof.value}
     if pair is not None:
-        x, rest = prof.cuts[pair]
-        crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
+        x = prof.side
+        crossing = sum(1 for a, b in d.arcs if a in x and b not in x)
         _self_check(crossing == prof.value, "dicut size equals lambda")
         # lambda arc-disjoint dipaths of d: with the dicut, they prove the value
         used = [arc for path in prof.paths for arc in zip(path, path[1:])]

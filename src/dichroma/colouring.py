@@ -18,6 +18,7 @@ from .core import (
     bfs,
     bfs_path,
     bits,
+    check_colour_range,
     is_acyclic,
     mask_of,
     strong_components,
@@ -52,14 +53,8 @@ class Dicolouring:
 def dicolouring(colours: Sequence[int], k: int | None = None) -> Dicolouring:
     cols = tuple(colours)
     kk = max(cols, default=0) if k is None else k
-    _check_range(cols, kk)
+    check_colour_range(cols, kk)
     return Dicolouring(cols, kk)
-
-
-def _check_range(cols: Sequence[int], k: int) -> None:
-    bad = next((c for c in cols if c < 1 or c > k), None)
-    if bad is not None:
-        raise InvalidInput(f"colour {bad} outside 1..{k}")
 
 
 def find_cycle_in(d: Digraph, vertices: Sequence[int]) -> list[int] | None:
@@ -108,7 +103,7 @@ def verify_dicolouring(d: Digraph, c: Dicolouring) -> VerifyResult:
     """
     if len(c.colours) != d.n:
         raise PartialColouring(f"{len(c.colours)} colours for {d.n} vertices")
-    _check_range(c.colours, c.k)
+    check_colour_range(c.colours, c.k)
     for col in range(1, c.k + 1):
         cls = [v for v in range(d.n) if c.colours[v] == col]
         cyc = find_cycle_in(d, cls)

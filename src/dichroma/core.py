@@ -18,6 +18,7 @@ from .errors import (
     Disconnected,
     DuplicateArc,
     IndexOutOfRange,
+    InvalidInput,
     InvalidPartition,
     LoopArc,
 )
@@ -584,6 +585,29 @@ def contract(d: Digraph, part: VertexSetPartition) -> Digraph:
         if a != b:
             arcs.add((a, b))
     return Digraph(len(part.parts), frozenset(arcs))
+
+
+def lexicographic(q: Digraph, parts: Sequence[Digraph]) -> Digraph:
+    """Substitution of a digraph into every vertex of q, the inverse of
+    `contract`: vertex i of q becomes parts[i], labels run part by part,
+    and each arc i->j of q becomes every arc from part i to part j."""
+    if len(parts) != q.n:
+        raise InvalidPartition(f"{len(parts)} parts for {q.n} vertices")
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.n)
+    arcs = {(u + off, v + off) for p, off in zip(parts, offsets) for u, v in p.arcs}
+    for i, j in q.arcs:
+        heads = range(offsets[j], offsets[j + 1])
+        arcs.update((u, v) for u in range(offsets[i], offsets[i + 1]) for v in heads)
+    return Digraph(offsets[-1], frozenset(arcs))
+
+
+def check_colour_range(colours: Iterable[int], k: int) -> None:
+    """Raise InvalidInput when a colour lies outside 1..k."""
+    bad = next((c for c in colours if c < 1 or c > k), None)
+    if bad is not None:
+        raise InvalidInput(f"colour {bad} outside 1..{k}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .core import (
     Budget,
     Multigraph,
     build_multigraph,
+    check_colour_range,
     euler_tour,
     multigraph_components,
 )
@@ -53,9 +54,13 @@ class EdgeVerifyResult:
 
 
 def verify_edge_colouring(g: Multigraph, c: EdgeColouring, d: int) -> EdgeVerifyResult:
-    """Valid iff every vertex has at most d incident edges per colour."""
+    """Valid iff every vertex has at most d incident edges per colour.
+
+    Raises InvalidInput when a colour lies outside 1..k.
+    """
     if len(c.colours) != g.m():
         raise PartialColouring(f"{len(c.colours)} colours for {g.m()} edges")
+    check_colour_range(c.colours, c.k)
     counts: dict[tuple[int, int], int] = {}
     for (u, v), col in zip(g.edges, c.colours):
         for x in (u, v):

@@ -12,7 +12,7 @@ verdict is the conjunction over the children of the first split found.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from typing import Collection, Iterable, Sequence
@@ -54,9 +54,8 @@ def _maxflow_unit(d: Digraph, s: int, t: int) -> tuple[int, int, list[int]]:
     `core.bfs` in the residual digraph.  Returns the flow value; the vertex
     bitset the final residual digraph reaches from s, the source side of
     the least minimum s-t dicut, the same for every maximum flow; and the
-    flow itself as fwd[x], the heads of the flow arcs out of x."""
-    if s == t:
-        raise InvalidInput("flow endpoints must differ")
+    flow itself as fwd[x], the heads of the flow arcs out of x.  Callers
+    pass s != t."""
     out = d.out_masks
     fwd, back = [0] * d.n, [0] * d.n  # back[x]: the tails of flow arcs into x
     res = list(out)  # residual out-neighbours: out & ~fwd | back
@@ -98,57 +97,26 @@ def _dipaths(s: int, t: int, fwd: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(paths)
 
 
-class _PairFlows(Mapping):
-    """A read-only mapping over every ordered pair (u, v) of distinct
-    vertices, in ascending order, whose item is read by `read(value, side)`
-    off the pair's unit max-flow.  The flows are kept in `flows`, shared by
-    every mapping over them; a pair not there gets its flow on first read."""
-
-    def __init__(self, d: Digraph, flows: dict[Arc, tuple[int, int]], read):
-        self._d, self._flows, self._read = d, flows, read
-
-    def __contains__(self, pair) -> bool:
-        n = self._d.n
-        ok = isinstance(pair, tuple) and len(pair) == 2 and pair[0] != pair[1]
-        return ok and all(isinstance(x, int) and 0 <= x < n for x in pair)
-
-    def __getitem__(self, pair):
-        if pair not in self:
-            raise InvalidInput(f"not an ordered pair of distinct vertices: {pair!r}")
-        if pair not in self._flows:
-            self._flows[pair] = _maxflow_unit(self._d, *pair)[:2]
-        return self._read(*self._flows[pair])
-
-    def __iter__(self) -> Iterator[Arc]:
-        n = self._d.n
-        return ((u, v) for u in range(n) for v in range(n) if u != v)
-
-    def __len__(self) -> int:
-        return self._d.n * (self._d.n - 1)
+def local_lambda(d: Digraph, u: int, v: int) -> tuple[int, frozenset[int]]:
+    """lambda(u, v), the most arc-disjoint u->v dipaths, with the source
+    side X of the least minimum u-v dicut (X, V - X): the set the residual
+    digraph of a maximum flow reaches from u."""
+    if not (u != v and all(isinstance(x, int) and 0 <= x < d.n for x in (u, v))):
+        raise InvalidInput(f"not an ordered pair of distinct vertices: {(u, v)!r}")
+    f, side, _ = _maxflow_unit(d, u, v)
+    return f, frozenset(bits(side))
 
 
 @dataclass(frozen=True)
 class LambdaProfile:
     """lambda(D) = max lambda(u, v), with the lexicographically first pair
-    that attains it, that pair's arc-disjoint dipaths and least minimum
-    dicut, and every other pair's value and dicut on demand."""
+    that attains it, that pair's arc-disjoint dipaths and the source side
+    of its least minimum dicut (empty when there is no pair)."""
 
-    n: int
     value: int
     pair: Arc | None
     paths: tuple[tuple[int, ...], ...]  # `value` arc-disjoint pair[0]->pair[1] dipaths
-    values: Mapping[Arc, int]
-    cuts: Mapping[Arc, tuple[frozenset[int], frozenset[int]]]
-
-    def argmax(self) -> Arc | None:
-        return self.pair
-
-    def minimum(self) -> int:
-        """min lambda(u, v), the arc-strong connectivity: the least of the n
-        values lambda(v, v + 1 mod n), since every X with 0 < |X| < n holds
-        some v with v + 1 mod n outside it (Schnorr 1979)."""
-        n = self.n
-        return min(self.values[v, (v + 1) % n] for v in range(n)) if n >= 2 else 0
+    side: frozenset[int]
 
 
 def lambda_profile(d: Digraph) -> LambdaProfile:
@@ -159,12 +127,8 @@ def lambda_profile(d: Digraph) -> LambdaProfile:
     an equal one at an earlier pair).  A pair is skipped when the least cut
     (X, V - X) of an earlier flow, of value f, has u in X and v outside,
     and f cannot beat the best either (the cut reuse of Gomory & Hu 1961).
-    `values` and `cuts` hold every pair: those the search ran a flow for,
-    and any other on its first read, by one more flow.  cuts[(u, v)] is the
-    least minimum u-v dicut (X, V - X): X is the set the residual digraph
-    of a maximum flow reaches from u."""
+    The argmax's dipaths and dicut side come from its search flow."""
     n = d.n
-    full = (1 << n) - 1
     dout = [d.d_plus(v) for v in range(n)]
     din = [d.d_minus(v) for v in range(n)]
     # (bound, pair) by descending bound, then ascending pair, made lazily:
@@ -174,8 +138,8 @@ def lambda_profile(d: Digraph) -> LambdaProfile:
         for u in range(n) if dout[u] >= b
         for v in range(n) if u != v and min(dout[u], din[v]) == b
     )
-    flows: dict[Arc, tuple[int, int]] = {}  # pair: (lambda, least cut side)
-    best, arg, arg_flow = -1, None, []
+    cuts: list[tuple[int, int]] = []  # (lambda, least cut side) per flow run
+    best, arg, arg_side, arg_flow = -1, None, 0, []
 
     def beats(f: int, pair: Arc) -> bool:
         """Whether a pair of value, or upper bound, f can still be the argmax."""
@@ -185,22 +149,15 @@ def lambda_profile(d: Digraph) -> LambdaProfile:
         if not beats(bound, pair):
             break
         u, v = pair
-        if any(
-            side >> u & 1 and not side >> v & 1 and not beats(f, pair)
-            for f, side in flows.values()
-        ):
+        if any(side >> u & 1 and not side >> v & 1 and not beats(f, pair) for f, side in cuts):
             continue
         f, side, flow = _maxflow_unit(d, u, v)
-        flows[pair] = (f, side)
+        cuts.append((f, side))
         if beats(f, pair):
-            best, arg, arg_flow = f, pair, flow
-
-    def cut(f: int, side: int) -> tuple[frozenset[int], frozenset[int]]:
-        return frozenset(bits(side)), frozenset(bits(full & ~side))
+            best, arg, arg_side, arg_flow = f, pair, side, flow
 
     paths = _dipaths(*arg, arg_flow) if arg else ()
-    values = _PairFlows(d, flows, lambda f, side: f)
-    return LambdaProfile(n, max(best, 0), arg, paths, values, _PairFlows(d, flows, cut))
+    return LambdaProfile(max(best, 0), arg, paths, frozenset(bits(arg_side)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +455,12 @@ def check_extremal_necessary(d: Digraph, k: int) -> NecessaryReport:
     lam_ok = False
     lam_max = 0
     if strong and d.n >= 2:
-        prof = lambda_profile(d)
-        lam_max = prof.value
-        lam_ok = lam_max == k == prof.minimum()  # max = min = k: every pair is k
+        lam_max = lambda_profile(d).value
+        # max = min = k: every pair is k.  The min is the least of the n
+        # values lambda(v, v + 1 mod n), since every X with 0 < |X| < n
+        # holds some v with v + 1 mod n outside it (Schnorr 1979)
+        cyclic = (local_lambda(d, v, (v + 1) % d.n)[0] for v in range(d.n))
+        lam_ok = lam_max == k == min(cyclic)
     return NecessaryReport(eul, strong, bic, lam_ok, lam_max)
 
 

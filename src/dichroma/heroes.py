@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .colouring import exact_dichromatic
-from .core import Budget, Digraph, bits, build_digraph, is_acyclic, mask_of
+from .core import Budget, Digraph, bits, build_digraph, is_acyclic, lexicographic, mask_of
 from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
@@ -28,33 +28,12 @@ def compose_circular(parts: Sequence[Digraph]) -> Digraph:
     from each part to the next around the cycle."""
     if len(parts) < 3:
         raise TooFewParts("circular composition needs at least 3 parts")
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    arcs: set[tuple[int, int]] = set()
-    for p, off in zip(parts, offsets):
-        for u, v in p.arcs:
-            arcs.add((u + off, v + off))
-    for i, p in enumerate(parts):
-        q = parts[(i + 1) % len(parts)]
-        qo = offsets[(i + 1) % len(parts)]
-        for u in range(p.n):
-            for v in range(q.n):
-                arcs.add((u + offsets[i], v + qo))
-    return build_digraph(total, arcs)
+    return lexicographic(dicycle(len(parts)), parts)
 
 
 def compose_domination(d1: Digraph, d2: Digraph) -> Digraph:
     """Disjoint union plus all arcs from the first digraph to the second."""
-    arcs = set(d1.arcs)
-    for u, v in d2.arcs:
-        arcs.add((u + d1.n, v + d1.n))
-    for u in range(d1.n):
-        for v in range(d2.n):
-            arcs.add((u, v + d1.n))
-    return build_digraph(d1.n + d2.n, arcs)
+    return lexicographic(transitive_tournament(2), [d1, d2])
 
 
 def circ3(a: int | Digraph, b: int | Digraph, c: int | Digraph) -> Digraph:
@@ -72,26 +51,8 @@ def substitute(g1: Digraph, u: int, h1: Digraph) -> Digraph:
     """
     if not 0 <= u < g1.n:
         raise BadVertex(f"vertex {u} not in the host")
-    shift = h1.n - 1
-
-    def relab(v: int) -> int:
-        return v if v < u else v + shift
-
-    arcs: set[tuple[int, int]] = set()
-    for a, b in g1.arcs:
-        if a == u and b == u:
-            continue
-        if a == u:
-            for j in range(h1.n):
-                arcs.add((u + j, relab(b)))
-        elif b == u:
-            for j in range(h1.n):
-                arcs.add((relab(a), u + j))
-        else:
-            arcs.add((relab(a), relab(b)))
-    for a, b in h1.arcs:
-        arcs.add((u + a, u + b))
-    return build_digraph(g1.n + shift, arcs)
+    k1 = transitive_tournament(1)
+    return lexicographic(g1, [k1] * u + [h1] + [k1] * (g1.n - u - 1))
 
 
 @dataclass(frozen=True)

@@ -140,17 +140,9 @@ def satisfies_in_round(d: Digraph, order: Sequence[int]) -> bool:
 
 
 def satisfies_round(d: Digraph, order: Sequence[int]) -> bool:
-    """For every arc x->y, every z strictly between is seen by x and sees y."""
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    for x, y in d.arcs:
-        i = (pos[x] + 1) % n
-        while i != pos[y]:
-            z = order[i]
-            if (z, y) not in d.arcs or (x, z) not in d.arcs:
-                return False
-            i = (i + 1) % n
-    return True
+    """For every arc x->y, every z strictly between is seen by x and sees y:
+    in-round, and in-round again with every arc and the order reversed."""
+    return satisfies_in_round(d, order) and satisfies_in_round(d.reverse(), order[::-1])
 
 
 @dataclass(frozen=True)

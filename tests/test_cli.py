@@ -194,10 +194,17 @@ def test_gen_verify_keeps_chi_bounds_when_the_chi_check_runs_out(capsys):
     assert rep["chi_ok"] is None and rep["free"] == {"c3_1_2_2": None}
 
 
-def test_verify_rejects_out_of_range_colours(files, capsys):
-    code = main(["verify", files["c3"], "--colours", "0,0,0"])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 2 and err["error"]["type"] == "InvalidInput"
+def test_verify_rejects_out_of_range_colours(files, tmp_path, capsys):
+    triangle = tmp_path / "triangle.mg"
+    triangle.write_text("multigraph 3\n0 1\n1 2\n0 2\n")
+    for argv, bad in [
+        (["verify", files["c3"], "--colours", "0,0,0"], "colour 0 outside 1..0"),
+        (["verify", str(triangle), "--colours", "0,0,0", "--d", "2"], "colour 0 outside 1..0"),
+        (["verify", str(triangle), "--colours=-1,1,2", "--d", "2"], "colour -1 outside 1..2"),
+    ]:
+        code = main(argv)
+        err = json.loads(capsys.readouterr().out)
+        assert code == 2 and err["error"] == {"type": "InvalidInput", "message": bad}
 
 
 def test_verify_malformed_colours_is_usage_error(files, capsys):
@@ -397,6 +404,12 @@ def test_bad_environment_file_or_parameter_is_json_error(
         ("digraph -1\n", "FileSemanticError", "line 1: negative vertex count -1"),
         ("multigraph 3\n0 0\n", "FileSemanticError", "line 2: loop at vertex 0"),
         ("multigraph 3\n0 9\n", "FileSemanticError", "line 2: edge (0, 9) outside 0..2"),
+        # the first offending row, wherever it lies, or the header's own line
+        ("digraph 3\n0 1\n1 2\n0 5\n", "FileSemanticError", "line 4: arc (0, 5) outside 0..2"),
+        ("multigraph 3\n0 1\n0 1\n0 9\n", "FileSemanticError", "line 4: edge (0, 9) outside 0..2"),
+        ("multigraph 3\n0 1\n0 1\n2 2\n", "FileSemanticError", "line 4: loop at vertex 2"),
+        ("digraph -1\n0 1\n", "FileSemanticError", "line 1: negative vertex count -1"),
+        ("# c\ndigraph -1\n", "FileSemanticError", "line 2: negative vertex count -1"),
     ],
 )
 def test_malformed_file_error_type_message_and_line(tmp_path, capsys, content, error, message):

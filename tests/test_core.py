@@ -13,6 +13,7 @@ from dichroma.core import (
     build_multigraph,
     contract,
     euler_tour,
+    lexicographic,
     partition,
     strong_components,
 )
@@ -139,9 +140,8 @@ def test_contract_examples():
 def test_contract_dicut_side_of_extremal():
     join = directed_hajos_join(sym_complete(4), (0, 1), sym_complete(4), (0, 1))
     prof = lambda_profile(join)
-    pair = next(p for p, v in sorted(prof.values.items()) if v == 3)
-    side, rest = prof.cuts[pair]
-    assert sum(1 for u, v in join.arcs if u in side and v in rest) == 3
+    side, rest = prof.side, set(range(join.n)) - prof.side
+    assert prof.value == 3 and sum(1 for u, v in join.arcs if u in side and v in rest) == 3
     part = partition(join.n, [side, *[{v} for v in sorted(rest)]])
     q = contract(join, part)
     assert q.d_plus(0) == 3
@@ -151,6 +151,28 @@ def test_contract_dicut_side_of_extremal():
 def test_contract_singletons_identity(d):
     q = contract(d, partition(d.n, [{v} for v in range(d.n)]))
     assert q.arcs == d.arcs and q.n == d.n
+
+
+def test_lexicographic_parts_are_modules_that_contract_back_to_the_quotient():
+    rng = random.Random(23)
+    for _ in range(200):
+        q = helpers.random_digraph(rng, rng.randrange(0, 6), rng.choice([0.2, 0.5, 0.8]))
+        parts = [helpers.random_digraph(rng, rng.randrange(1, 5), 0.4) for _ in range(q.n)]
+        d = lexicographic(q, parts)
+        ranges, start = [], 0
+        for p in parts:
+            ranges.append(range(start, start + p.n))
+            start += p.n
+        assert d.n == start
+        for i, (p, r) in enumerate(zip(parts, ranges)):
+            assert d.induced(r)[0] == p
+            # a module: every other vertex sees all of the part or none of it
+            for x in set(range(d.n)) - set(r):
+                assert len({(x, y) in d.arcs for y in r}) == 1
+                assert len({(y, x) in d.arcs for y in r}) == 1
+        assert contract(d, partition(d.n, ranges)) == q
+    with pytest.raises(InvalidPartition):
+        lexicographic(dicycle(3), [dicycle(2)] * 2)
 
 
 def test_euler_examples():

@@ -18,7 +18,7 @@ from dichroma.defective import (
     _factor,
     _tower,
 )
-from dichroma.errors import BadParameters, EvenD, NotRegular, OddK
+from dichroma.errors import BadParameters, EvenD, InvalidInput, NotRegular, OddK
 from dichroma.families import (
     complete_graph,
     complete_minus_matching,
@@ -42,6 +42,14 @@ def test_verify_examples():
     assert not res.valid and res.count == 2
     g, col = colour_shannon_multigraph(4, 3)
     assert verify_edge_colouring(g, col, 3).valid and col.k == 2
+
+
+def test_verify_rejects_colours_outside_the_range():
+    tri = build_multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    for bad in [EdgeColouring((0, 0, 0), 0), EdgeColouring((-1, 1, 2), 2),
+                EdgeColouring((1, 3, 2), 2)]:
+        with pytest.raises(InvalidInput):
+            verify_edge_colouring(tri, bad, 2)
 
 
 def test_gamma_examples():

@@ -31,6 +31,7 @@ from dichroma.extremal import (
     hajos_tree_join,
     induced_cycle_hypergraph,
     lambda_profile,
+    local_lambda,
     parallel_hajos_join,
     recognize_k_extremal,
 )
@@ -43,6 +44,11 @@ def k4_arcs(vs):
     return [(p, q) for p in vs for q in vs if p != q]
 
 
+def _pairs(n: int):
+    """Every ordered pair of distinct vertices, in ascending order."""
+    return [(u, v) for u in range(n) for v in range(n) if u != v]
+
+
 def test_lambda_examples():
     for n in (3, 5, 8):
         assert lambda_profile(dicycle(n)).value == 1
@@ -53,10 +59,9 @@ def test_lambda_menger_consistency():
     rng = random.Random(17)
     for _ in range(25):
         d = helpers.random_digraph(rng, 6, 0.35)
-        prof = lambda_profile(d)
-        for (u, v), val in prof.values.items():
-            x, rest = prof.cuts[(u, v)]
-            crossing = sum(1 for a, b in d.arcs if a in x and b in rest)
+        for u, v in _pairs(d.n):
+            val, x = local_lambda(d, u, v)
+            crossing = sum(1 for a, b in d.arcs if a in x and b not in x)
             assert crossing == val
             assert val == helpers.brute_lambda(d, u, v)
 
@@ -683,8 +688,8 @@ def test_lambda_values_and_least_cuts_match_networkx_flows():
         n = rng.randrange(2, 11)
         d = helpers.random_digraph(rng, n, rng.choice([0.2, 0.4, 0.7]))
         net = _unit_network(d)
-        prof = lambda_profile(d)
-        for (u, v), val in prof.values.items():
+        for u, v in _pairs(n):
+            val, least = local_lambda(d, u, v)
             value, flow = nx.maximum_flow(net, u, v)
             assert val == value == nx.maximum_flow_value(net, u, v)
             # the least minimum dicut: what the residual digraph reaches from u
@@ -694,8 +699,7 @@ def test_lambda_values_and_least_cuts_match_networkx_flows():
                 (x, y) for x, y in d.arcs if flow[x][y] == 0
             )
             residual.add_edges_from((y, x) for x, y in d.arcs if flow[x][y] == 1)
-            side = nx.descendants(residual, u) | {u}
-            assert prof.cuts[(u, v)] == (side, set(range(n)) - side)
+            assert least == nx.descendants(residual, u) | {u}
 
 
 def _relabelled(rng, n: int, arcs):
@@ -740,11 +744,10 @@ def test_eulerian_lambda_is_half_the_gomory_hu_cut():
             else:
                 und.add_edge(p, q, capacity=1)
         tree = nx.gomory_hu_tree(und)
-        prof = lambda_profile(d)
-        for (u, v), val in prof.values.items():
+        for u, v in _pairs(d.n):
             path = nx.shortest_path(tree, u, v)
             cut = min(tree[a][b]["weight"] for a, b in zip(path, path[1:]))
-            assert 2 * val == cut
+            assert 2 * local_lambda(d, u, v)[0] == cut
 
 
 def _flow_spy(monkeypatch) -> list:
@@ -767,15 +770,13 @@ def test_lambda_profile_flow_counts(monkeypatch):
     # every pair has lambda 3, but the glued vertices have larger degree
     # bounds: 9 flows settle that no pair beats 3 (21 on Gusfield's tree)
     assert len(calls) == 9 and prof.value == 3
-    searched = list(calls)
-    pair = prof.argmax()
-    side, rest = prof.cuts[pair]
-    assert len(calls) == 9  # the argmax's cut comes from its search flow
-    assert sum(1 for p, q in chain.arcs if p in side and q in rest) == prof.values[pair]
-    # the minimum adds a flow for each cyclic pair (v, v + 1) the search skipped
-    assert prof.minimum() == 3
-    cyclic = {(v, (v + 1) % chain.n) for v in range(chain.n)}
-    assert sorted(calls) == sorted(set(searched) | cyclic) and len(calls) == 29
+    # the argmax's cut comes from its search flow
+    assert sum(1 for p, q in chain.arcs if p in prof.side and q not in prof.side) == 3
+    # the necessary check adds a flow for each cyclic pair (v, v + 1)
+    calls.clear()
+    assert check_extremal_necessary(chain, 3).lambda_all_k
+    cyclic = [(v, (v + 1) % chain.n) for v in range(chain.n)]
+    assert len(calls) == 9 + chain.n and calls[9:] == cyclic
 
     rng = random.Random(71)
     d = helpers.random_digraph(rng, 14, 0.35)
@@ -796,7 +797,6 @@ def test_lambda_profile_flow_counts(monkeypatch):
     calls.clear()
     prof = lambda_profile(d)
     assert len(calls) == 1 and prof.value == 6  # 73 around a pivot
-    assert prof.minimum() == 0 and len(calls) == 1 + d.n
 
 
 def test_lambda_flows_on_the_benchmark_lambda_inputs(monkeypatch, tmp_path):
@@ -809,8 +809,7 @@ def test_lambda_flows_on_the_benchmark_lambda_inputs(monkeypatch, tmp_path):
     assert len(inputs) == 78
     calls = _flow_spy(monkeypatch)
     for kind, n, arcs in inputs:
-        prof = lambda_profile(build_digraph(n, arcs))
-        prof.cuts[prof.argmax()]
+        lambda_profile(build_digraph(n, arcs))
     assert len(calls) <= 300 and len(calls) == 271
 
 
@@ -863,9 +862,10 @@ def test_lambda_search_matches_the_networkx_lexicographic_maximum():
     for d in inputs:
         value, pair, side, least = _lex_max_lambda(d)
         prof = lambda_profile(d)
-        assert (prof.value, prof.argmax()) == (value, pair)
-        assert prof.cuts[pair] == (side, set(range(d.n)) - side)
-        assert prof.minimum() == least
+        assert (prof.value, prof.pair, prof.side) == (value, pair, side)
+        cyclic = [local_lambda(d, v, (v + 1) % d.n)[0] for v in range(d.n)]
+        assert min(cyclic) == least  # Schnorr 1979
+        assert check_extremal_necessary(d, value).lambda_all_k == (least == value > 0)
         # the search's flow, as value arc-disjoint dipaths of d
         used = [arc for path in prof.paths for arc in zip(path, path[1:])]
         assert len(prof.paths) == value
@@ -874,7 +874,7 @@ def test_lambda_search_matches_the_networkx_lexicographic_maximum():
         assert len(set(used)) == len(used) and set(used) <= d.arcs
     for n in (0, 1):
         prof = lambda_profile(build_digraph(n, []))
-        assert (prof.value, prof.argmax(), prof.paths, prof.minimum()) == (0, None, (), 0)
+        assert (prof.value, prof.pair, prof.paths, prof.side) == (0, None, (), set())
 
 
 def test_non_eulerian_lambda_matches_networkx_flows():
@@ -888,15 +888,15 @@ def test_non_eulerian_lambda_matches_networkx_flows():
         ):
             continue
         net = _unit_network(d)
-        prof = lambda_profile(d)
-        assert list(prof.values) == [(u, v) for u in range(n) for v in range(n) if u != v]
-        for (u, v), val in prof.values.items():
+        values = {(u, v): local_lambda(d, u, v)[0] for u, v in _pairs(n)}
+        for (u, v), val in values.items():
             assert val == nx.maximum_flow_value(net, u, v)
+        assert lambda_profile(d).value == max(values.values())
         done += 1
 
 
 def test_pivot_lambda_matches_networkx_flows_at_every_density():
-    # every value, read lazily at one flow per pair, from sparse inputs to dense
+    # every value, at one flow per pair, from sparse inputs to dense
     rng = random.Random(76)
     done = 0
     for density in [0.1, 0.15, 0.2, 0.3, 0.5] * 10:
@@ -905,22 +905,23 @@ def test_pivot_lambda_matches_networkx_flows_at_every_density():
         if all(d.d_plus(v) == d.d_minus(v) for v in range(n)):
             continue
         net = _unit_network(d)
-        for (u, v), val in lambda_profile(d).values.items():
-            assert val == nx.maximum_flow_value(net, u, v)
+        for u, v in _pairs(n):
+            assert local_lambda(d, u, v)[0] == nx.maximum_flow_value(net, u, v)
         done += 1
     assert done >= 40
 
 
 def test_lambda_cuts_cover_every_ordered_pair():
     d = helpers.random_digraph(random.Random(74), 6, 0.5)
-    cuts = lambda_profile(d).cuts
-    pairs = [(u, v) for u in range(6) for v in range(6) if u != v]
-    assert len(cuts) == 30 and list(cuts) == pairs
-    assert (2, 2) not in cuts and (0, 6) not in cuts and (1, 0) in cuts
-    for bad in [(2, 2), (0, 6), (-1, 3), (0, 1, 2), "01"]:
+    for u, v in _pairs(6):
+        val, side = local_lambda(d, u, v)
+        assert u in side and v not in side and val == helpers.brute_lambda(d, u, v)
+    # a loop, vertices out of range, and endpoints that are not vertices
+    for bad in [(2, 2), (0, 6), (-1, 3), (0, (1, 2)), ("0", "1")]:
         with pytest.raises(InvalidInput):
-            cuts[bad]
-    assert lambda_profile(build_digraph(1, [])).cuts == {}
+            local_lambda(d, *bad)
+    with pytest.raises(InvalidInput):
+        local_lambda(build_digraph(1, []), 0, 0)
 
 
 def _dicycle_union(rng, n: int, count: int):
