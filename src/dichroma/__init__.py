@@ -46,10 +46,8 @@ localstruct = _lazy("localstruct")
 _HOMES = {
     brooks: ("BrooksVerdict", "brooks_colour", "classify_brooks", "deltamin_gadget"),
     colouring: (
-        "BackwardPathCertificate",
         "Dicolouring",
         "ExactResult",
-        "backward_certificate",
         "dipolar_combine",
         "exact_dichromatic",
         "gallai_roy_colour",
@@ -109,7 +107,6 @@ _HOMES = {
         "gen_ds",
         "gen_fk",
         "pattern",
-        "substitute",
     ),
     localstruct: (
         "CyclicOrder",

@@ -26,7 +26,6 @@ from .core import (
     blocks,
     build_digraph,
     components,
-    weak_components,
 )
 from .errors import BadK
 
@@ -49,10 +48,9 @@ class BrooksVerdict:
     tight: bool  # dichromatic number equals delta_max + 1
 
 
-def _component_exception(d: Digraph, comp: frozenset[int]) -> str | None:
-    """Membership of a connected component in the tight family of its own
+def _component_exception(sub: Digraph) -> str | None:
+    """Membership of a connected digraph in the tight family of its own
     max-degree."""
-    sub, _ = d.induced(sorted(comp))
     k = sub.delta_max
     if k == 0:
         # a single vertex is the symmetric complete digraph on one vertex
@@ -85,12 +83,12 @@ def classify_brooks(d: Digraph) -> BrooksVerdict:
     The whole digraph needs delta_max+1 colours iff some component of
     maximal delta_max is one of the tight cases.
     """
-    comps = weak_components(d)
     verdicts = []
-    for comp in comps:
-        sub, _ = d.induced(sorted(comp))
+    for comp in components(d.und_masks, (1 << d.n) - 1):
+        vertices = bits(comp)
+        sub, _ = d.induced(vertices)
         verdicts.append(
-            ComponentVerdict(comp, sub.delta_max, _component_exception(d, comp))
+            ComponentVerdict(frozenset(vertices), sub.delta_max, _component_exception(sub))
         )
     dmax = d.delta_max
     tight = any(v.delta_max == dmax and v.exception is not None for v in verdicts)
@@ -108,8 +106,8 @@ def brooks_colour(d: Digraph) -> Dicolouring:
     """
     colour = [1] * d.n
     best = 1 if d.n else 0
-    for comp in weak_components(d):
-        sub, labels = d.induced(sorted(comp))
+    for comp in components(d.und_masks, (1 << d.n) - 1):
+        sub, labels = d.induced(bits(comp))
         cols = _colour_component(sub)
         for i, v in enumerate(labels):
             colour[v] = cols[i]
@@ -119,7 +117,7 @@ def brooks_colour(d: Digraph) -> Dicolouring:
 
 def _colour_component(d: Digraph) -> list[int]:
     k = d.delta_max
-    exc = _component_exception(d, frozenset(range(d.n)))
+    exc = _component_exception(d)
     if exc == EXC_DIRECTED_CYCLE:
         return [2] + [1] * (d.n - 1)
     if exc == EXC_SYMMETRIC_ODD_CYCLE:

@@ -37,23 +37,11 @@ from .errors import (
 from .families import shannon_multigraph
 
 
-def parse_digraph_file(text: str) -> Digraph:
+def parse_graph(text: str) -> Digraph | Multigraph:
+    """The digraph or multigraph of a graph file's text, by its header.  An
+    invalid graph is reported at its header line for a negative vertex
+    count, else at the first offending row."""
     (kind, n, head), rows = _parse_rows(text)
-    if kind != "digraph":
-        raise FileSyntaxError(f"expected 'digraph' header, got {kind!r}", 1)
-    return _graph_of(kind, n, head, rows)
-
-
-def parse_multigraph_file(text: str) -> Multigraph:
-    (kind, n, head), rows = _parse_rows(text)
-    if kind != "multigraph":
-        raise FileSyntaxError(f"expected 'multigraph' header, got {kind!r}", 1)
-    return _graph_of(kind, n, head, rows)
-
-
-def _graph_of(kind: str, n: int, head: int, rows) -> Digraph | Multigraph:
-    """The graph of a parsed file; an invalid one is reported at its header
-    line for a negative vertex count, else at the first offending row."""
     build = build_digraph if kind == "digraph" else build_multigraph
     try:
         return build(n, [e for _, e in rows])
@@ -124,8 +112,7 @@ def _load_graph(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    (kind, n, head), rows = _parse_rows(text)
-    return _graph_of(kind, n, head, rows), text
+    return parse_graph(text), text
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -23,7 +23,6 @@ from .core import (
     mask_of,
     strong_components,
     strong_parts,
-    topological_order,
 )
 from .errors import (
     BudgetExceeded,
@@ -39,15 +38,6 @@ class Dicolouring:
 
     colours: tuple[int, ...]
     k: int
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colours):
-            out[c - 1].append(v)
-        return out
-
-    def used(self) -> int:
-        return len(set(self.colours))
 
 
 def dicolouring(colours: Sequence[int], k: int | None = None) -> Dicolouring:
@@ -160,43 +150,6 @@ def gallai_roy_colour(d: Digraph, order: Sequence[int]) -> Dicolouring:
                     best = f[u] + 1
         f[v] = best
     return Dicolouring(tuple(f), max(f, default=0))
-
-
-def backward_path_bound(d: Digraph, order: Sequence[int]) -> int:
-    """Max vertex count of a dipath using only backward arcs of `order`."""
-    return gallai_roy_colour(d, order).k
-
-
-@dataclass(frozen=True)
-class BackwardPathCertificate:
-    """A vertex ordering witnessing a dichromatic upper bound: no dipath on
-    bound+1 vertices uses only backward arcs of the ordering."""
-
-    ordering: tuple[int, ...]
-    bound: int
-
-    def check(self, d: Digraph) -> bool:
-        return backward_path_bound(d, self.ordering) <= self.bound
-
-
-def backward_certificate(d: Digraph, c: Dicolouring) -> BackwardPathCertificate:
-    """Certificate extracted from a valid dicolouring: its colour classes
-    in topological order give an ordering whose longest all-backward
-    dipath has at most k vertices."""
-    order = class_topological_order(d, c)
-    return BackwardPathCertificate(tuple(order), c.k)
-
-
-def class_topological_order(d: Digraph, c: Dicolouring) -> list[int]:
-    """Order vertices by colour class, topologically within each class
-    (least vertex first among the ready ones)."""
-    order: list[int] = []
-    for cls in c.classes():
-        part = topological_order(d.in_masks, mask_of(cls))
-        if part is None:
-            raise InvalidInput("colour class is not acyclic")
-        order.extend(part)
-    return order
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,6 @@ class Digraph:
         return max(self.d_plus(v), self.d_minus(v))
 
     @cached_property
-    def delta_min(self) -> int:
-        return max((self.d_min(v) for v in range(self.n)), default=0)
-
-    @cached_property
     def delta_max(self) -> int:
         return max((self.d_max(v) for v in range(self.n)), default=0)
 
@@ -83,12 +79,6 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, frozenset((v, u) for u, v in self.arcs))
-
-    def add_arcs(self, extra: Iterable[Arc]) -> "Digraph":
-        return build_digraph(self.n, set(self.arcs) | set(extra))
-
-    def remove_arcs(self, gone: Iterable[Arc]) -> "Digraph":
-        return Digraph(self.n, self.arcs - frozenset(gone))
 
     def induced(self, vertices: Sequence[int]) -> tuple["Digraph", list[int]]:
         """Induced subdigraph plus the list mapping new index -> old label
@@ -165,10 +155,6 @@ class Multigraph:
     @cached_property
     def delta(self) -> int:
         return max((self.degree(v) for v in range(self.n)), default=0)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        return sum(1 for f in self.edges if f == e)
 
     @cached_property
     def mu(self) -> int:
@@ -549,10 +535,6 @@ def topological_order(in_masks: Sequence[int], within: int) -> list[int] | None:
     return order
 
 
-def weak_components(d: Digraph) -> list[frozenset[int]]:
-    return [frozenset(bits(c)) for c in components(d.und_masks, (1 << d.n) - 1)]
-
-
 def blocks(d: Digraph) -> list[frozenset[int]]:
     """2-connected components of the underlying multigraph, as vertex sets.
 
@@ -682,7 +664,3 @@ def bfs_order(d: Digraph, root: int) -> list[int]:
     if missing:
         raise Disconnected(f"vertex {bits(missing)[0]} unreachable from {root}")
     return order
-
-
-def multigraph_components(g: Multigraph) -> list[frozenset[int]]:
-    return [frozenset(bits(c)) for c in components(g.masks, (1 << g.n) - 1)]

@@ -17,10 +17,11 @@ from typing import Sequence
 from .core import (
     Budget,
     Multigraph,
+    bits,
     build_multigraph,
     check_colour_range,
+    components,
     euler_tour,
-    multigraph_components,
 )
 from .errors import (
     BadParameters,
@@ -281,8 +282,7 @@ def split_euler(g: Multigraph):
     degs = {g.degree(v) for v in range(g.n)}
     if len(degs) != 1 or (next(iter(degs)) % 2) != 0:
         raise NotRegular("not an even-regular multigraph")
-    comps = multigraph_components(g)
-    if len(comps) != 1:
+    if len(components(g.masks, (1 << g.n) - 1)) != 1:
         raise Disconnected("multigraph not connected")
     return _euler_halves(g)
 
@@ -452,8 +452,8 @@ def _euler_split(g: Multigraph, idxs: Sequence[int]):
     a: list[int] = []
     b: list[int] = []
     spares: list[int] = []
-    for comp in multigraph_components(sub):
-        ids = [idxs[j] for j in range(sub.m()) if sub.edges[j][0] in comp]
+    for comp in components(sub.masks, (1 << g.n) - 1):
+        ids = [idxs[j] for j in range(sub.m()) if comp >> sub.edges[j][0] & 1]
         if not ids:
             continue
         pa, pb, spare = _euler_halves(Multigraph(g.n, tuple(g.edges[i] for i in ids)))
@@ -499,12 +499,12 @@ def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
     vertices v + n and 2d - deg(v) padding edges from each v to v + n."""
     n, m = g.n, g.m()
     edges = list(g.edges)
-    for comp in multigraph_components(g):
-        ids = [i for i in range(m) if g.edges[i][0] in comp]
-        if not ids or (len(ids) % 2 == 0 and all(g.degree(v) == 2 * d for v in comp)):
+    for comp in components(g.masks, (1 << n) - 1):
+        ids = [i for i in range(m) if comp >> g.edges[i][0] & 1]
+        if not ids or (len(ids) % 2 == 0 and all(g.degree(v) == 2 * d for v in bits(comp))):
             continue
         edges += [(u + n, v + n) for u, v in (g.edges[i] for i in ids)]
-        edges += [(v, v + n) for v in sorted(comp) for _ in range(2 * d - g.degree(v))]
+        edges += [(v, v + n) for v in bits(comp) for _ in range(2 * d - g.degree(v))]
     a, b, spares = _euler_split(Multigraph(2 * n, tuple(edges)), range(len(edges)))
     if spares:
         raise FallbackToExact("Euler split of a component left a spare edge")
@@ -522,8 +522,8 @@ def _two_colour_bm(g: Multigraph, d: int) -> list[int]:
 
 def _colour_simple_route(g: Multigraph, d: int) -> list[int]:
     if d > 1 and g.delta == 2 * d and not any(
-        len(comp) % 2 == 1 and all(g.degree(v) == 2 * d for v in comp)
-        for comp in multigraph_components(g)
+        comp.bit_count() % 2 == 1 and all(g.degree(v) == 2 * d for v in bits(comp))
+        for comp in components(g.masks, (1 << g.n) - 1)
     ):
         return _parity_two_colour(g, d)
     # a proper colouring bucketed into groups of d; where d divides

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .colouring import exact_dichromatic
@@ -20,6 +21,7 @@ from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
 DEFAULT_CAP = 100_000
+ARC_CAP = 2_000_000  # fk and ds are dense: their arc count is checked before building
 HERO_FREE_CAP = 200_000
 
 
@@ -42,19 +44,6 @@ def circ3(a: int | Digraph, b: int | Digraph, c: int | Digraph) -> Digraph:
     return compose_circular([conv(a), conv(b), conv(c)])
 
 
-def substitute(g1: Digraph, u: int, h1: Digraph) -> Digraph:
-    """Replace vertex u of g1 by a copy of h1; every former neighbour
-    relation of u is replicated towards all of h1.
-
-    Labels: vertices below u keep theirs, h1 occupies u..u+|h1|-1, the rest
-    shift up; substituting a single vertex is the identity.
-    """
-    if not 0 <= u < g1.n:
-        raise BadVertex(f"vertex {u} not in the host")
-    k1 = transitive_tournament(1)
-    return lexicographic(g1, [k1] * u + [h1] + [k1] * (g1.n - u - 1))
-
-
 @dataclass(frozen=True)
 class GeneratedDigraph:
     """A generator output with its self-check claims."""
@@ -74,11 +63,16 @@ def gen_fk(ell: int, k: int) -> GeneratedDigraph:
         raise TooFewParts("ell must be at least 3")
     if k < 1:
         raise SizeCapExceeded("k must be positive")
-    size = 1
+    size, arcs = 1, 0
     for _ in range(k - 1):
+        # a layer holds ell - 1 copies of the last, plus the arcs between
+        # consecutive parts: the single vertex to and from a copy, copy to copy
+        arcs = (ell - 1) * arcs + 2 * size + (ell - 2) * size * size
         size = 1 + (ell - 1) * size
         if size > DEFAULT_CAP:
             raise SizeCapExceeded(f"layer size exceeds cap {DEFAULT_CAP}")
+        if arcs > ARC_CAP:
+            raise SizeCapExceeded(f"arc count exceeds cap {ARC_CAP}")
     d = transitive_tournament(1)
     for _ in range(k - 1):
         d = compose_circular([transitive_tournament(1)] + [d] * (ell - 1))
@@ -95,9 +89,13 @@ def gen_ds(s: int) -> GeneratedDigraph:
     """
     if s < 5:
         raise SizeCapExceeded("s must be at least 5")
-    triples = list(combinations(range(s), 3))
-    if len(triples) > DEFAULT_CAP:
+    n = comb(s, 3)
+    if n > DEFAULT_CAP:
         raise SizeCapExceeded(f"vertex count exceeds cap {DEFAULT_CAP}")
+    # one arc per pair of triples with distinct middles; j(s-1-j) have middle j
+    if (n * n - sum((j * (s - 1 - j)) ** 2 for j in range(s))) // 2 > ARC_CAP:
+        raise SizeCapExceeded(f"arc count exceeds cap {ARC_CAP}")
+    triples = list(combinations(range(s), 3))
     index = {t: i for i, t in enumerate(triples)}
     arcs: set[tuple[int, int]] = set()
     for t1 in triples:

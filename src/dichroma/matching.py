@@ -87,23 +87,3 @@ def _augment(n: int, adj, match: list[int], root: int) -> bool:
                 used[match[to]] = True
                 q.append(match[to])
     return False
-
-
-def exhaustive_max_matching(n: int, edges: Sequence[tuple[int, int]]) -> int:
-    """Size of a maximum matching by branching over edges; oracle for
-    graphs of up to about 20 vertices."""
-
-    def best(avail: int, idx: int) -> int:
-        while idx < len(edges):
-            u, v = edges[idx]
-            if (avail >> u) & 1 and (avail >> v) & 1:
-                break
-            idx += 1
-        else:
-            return 0
-        u, v = edges[idx]
-        take = 1 + best(avail & ~(1 << u) & ~(1 << v), idx + 1)
-        skip = best(avail, idx + 1)
-        return max(take, skip)
-
-    return best((1 << n) - 1, 0)

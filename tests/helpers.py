@@ -1,9 +1,9 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles and small fixtures for the test suite.
 
 Each oracle deliberately avoids the algorithm it checks: reachability
 closure instead of lowpoint DFS, set-partition enumeration instead of
-branch and bound, subset enumeration instead of flow, trail backtracking
-instead of the tour construction.
+branch and bound, subset enumeration instead of flow, edge branching
+instead of blossoms, trail backtracking instead of the tour construction.
 """
 
 from __future__ import annotations
@@ -11,7 +11,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from dichroma.core import Budget, Digraph, Multigraph, is_acyclic
+from dichroma.core import (
+    Budget,
+    Digraph,
+    Multigraph,
+    build_digraph,
+    build_multigraph,
+    is_acyclic,
+    lexicographic,
+)
+from dichroma.errors import BadParameters, BadVertex
+from dichroma.families import transitive_tournament
 
 
 # --- adjacency read straight from the arc set ------------------------------
@@ -422,6 +432,85 @@ def undirected_chromatic(n: int, edges: Sequence[tuple[int, int]]) -> int:
     while not feasible(k):
         k += 1
     return k
+
+
+# --- maximum matching by branching over edges ------------------------------
+
+
+def exhaustive_max_matching(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """Size of a maximum matching; for graphs of up to about 20 vertices."""
+
+    def best(avail: int, idx: int) -> int:
+        while idx < len(edges):
+            u, v = edges[idx]
+            if (avail >> u) & 1 and (avail >> v) & 1:
+                break
+            idx += 1
+        else:
+            return 0
+        u, v = edges[idx]
+        take = 1 + best(avail & ~(1 << u) & ~(1 << v), idx + 1)
+        skip = best(avail, idx + 1)
+        return max(take, skip)
+
+    return best((1 << n) - 1, 0)
+
+
+# --- small standard families ------------------------------------------------
+
+
+def sym_complete(n: int) -> Digraph:
+    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+
+
+def sym_cycle(n: int) -> Digraph:
+    arcs = []
+    for i in range(n):
+        j = (i + 1) % n
+        arcs += [(i, j), (j, i)]
+    return build_digraph(n, arcs)
+
+
+def out_star(leaves: int) -> Digraph:
+    """One source dominating `leaves` pairwise non-adjacent vertices."""
+    return build_digraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_graph(n: int) -> Multigraph:
+    return build_multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_minus_matching(n: int) -> Multigraph:
+    """K_n minus a perfect matching (n even): (n-2)-regular and simple."""
+    if n % 2 != 0:
+        raise BadParameters("n must be even")
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not (j == i + 1 and i % 2 == 0)
+    ]
+    return build_multigraph(n, edges)
+
+
+def petersen() -> Multigraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return build_multigraph(10, outer + inner + spokes)
+
+
+def substitute(g1: Digraph, u: int, h1: Digraph) -> Digraph:
+    """Replace vertex u of g1 by a copy of h1; every former neighbour
+    relation of u is replicated towards all of h1.
+
+    Labels: vertices below u keep theirs, h1 occupies u..u+|h1|-1, the rest
+    shift up; substituting a single vertex is the identity.
+    """
+    if not 0 <= u < g1.n:
+        raise BadVertex(f"vertex {u} not in the host")
+    k1 = transitive_tournament(1)
+    return lexicographic(g1, [k1] * u + [h1] + [k1] * (g1.n - u - 1))
 
 
 # --- random digraph / multigraph generators ---------------------------------

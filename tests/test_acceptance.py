@@ -6,7 +6,7 @@ import random
 
 from dichroma.brooks import brooks_colour, classify_brooks, deltamin_gadget
 from dichroma.colouring import exact_dichromatic, verify_dicolouring
-from dichroma.core import build_digraph
+from dichroma.core import Digraph, build_digraph
 from dichroma.defective import (
     colour_shannon_multigraph,
     defective_colour,
@@ -21,16 +21,12 @@ from dichroma.extremal import (
     lambda_profile,
     recognize_k_extremal,
 )
-from dichroma.families import (
-    complete_graph,
-    complete_minus_matching,
-    shannon_multigraph,
-    sym_complete,
-)
+from dichroma.families import shannon_multigraph
 from dichroma.heroes import contains_induced, gen_chordal_c122, gen_ds, gen_fk, pattern
 from dichroma.localstruct import check_local_class, inround_order, satisfies_in_round, two_dicolour_lot
 
 import helpers
+from helpers import complete_graph, complete_minus_matching, sym_complete
 from enumeration import (
     all_labelled_digraphs,
     connected_digraphs_upto,
@@ -189,7 +185,7 @@ def test_criterion_04_recognizer_corpus():
             (i, j) for i in range(d.n) for j in range(d.n) if i != j
         ]
         pick = rng.choice(all_pairs)
-        pert = d.remove_arcs([pick]) if pick in d.arcs else d.add_arcs([pick])
+        pert = Digraph(d.n, d.arcs - {pick}) if pick in d.arcs else build_digraph(d.n, d.arcs | {pick})
         want_p = _brute_extremal3(pert)
         got_p = recognize_k_extremal(pert, 3)
         if got_p.extremal != want_p:

@@ -14,8 +14,10 @@ from dichroma.extremal import (
     induced_cycle_hypergraph,
     recognize_k_extremal,
 )
-from dichroma.families import shannon_multigraph, sym_complete
+from dichroma.families import shannon_multigraph
 from dichroma.heroes import contains_induced, gen_fk, pattern
+
+from helpers import sym_complete
 
 
 def _k4_chain():

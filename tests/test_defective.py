@@ -19,15 +19,11 @@ from dichroma.defective import (
     _tower,
 )
 from dichroma.errors import BadParameters, EvenD, InvalidInput, NotRegular, OddK
-from dichroma.families import (
-    complete_graph,
-    complete_minus_matching,
-    petersen,
-    shannon_multigraph,
-)
+from dichroma.families import shannon_multigraph
 from dichroma.vizing import vizing_colour
 
 import helpers
+from helpers import complete_graph, complete_minus_matching, petersen
 
 
 def shannon_bound(k, d):

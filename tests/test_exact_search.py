@@ -9,10 +9,9 @@ import pytest
 from dichroma.colouring import _feasible_k, exact_dichromatic, verify_dicolouring
 from dichroma.core import Budget, build_digraph
 from dichroma.errors import BudgetExceeded
-from dichroma.families import sym_complete
 from dichroma.heroes import gen_chordal_c122, gen_fk
 
-from helpers import dsatur_feasible_k, random_digraph
+from helpers import dsatur_feasible_k, random_digraph, sym_complete
 
 
 def _strong_tournament(rng, n):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dichroma.colouring import exact_dichromatic
-from dichroma.core import build_digraph
+from dichroma.core import Digraph, build_digraph
 from dichroma.errors import BadVertex, SizeCapExceeded, TooFewParts
 from dichroma.families import dicycle, transitive_tournament
 from dichroma.heroes import (
@@ -20,12 +20,12 @@ from dichroma.heroes import (
     gen_ds,
     gen_fk,
     pattern,
-    substitute,
     transitive_subsets,
     verify_generated,
 )
 
 import helpers
+from helpers import substitute
 
 
 def test_compose_circular_examples():
@@ -74,6 +74,24 @@ def test_gen_fk_shape_and_chi():
     assert exact_dichromatic(h2).value == 2
     with pytest.raises(SizeCapExceeded):
         gen_fk(3, 30)
+
+
+def test_fk_and_ds_arc_counts_and_cap():
+    # the closed forms the generators check against ARC_CAP before building
+    for s in (5, 6, 12):
+        n = math.comb(s, 3)
+        assert len(gen_ds(s).digraph.arcs) == (n * n - sum((j * (s - 1 - j)) ** 2 for j in range(s))) // 2
+    for ell, k in ((3, 5), (4, 4), (5, 3)):
+        size, arcs = 1, 0
+        for _ in range(k - 1):
+            arcs = (ell - 1) * arcs + 2 * size + (ell - 2) * size * size
+            size = 1 + (ell - 1) * size
+        assert len(gen_fk(ell, k).digraph.arcs) == arcs
+    # fk(3, 10) has 522,753 arcs and fk(3, 11) 2,094,081; ds(25) has 2,300
+    # vertices, far below the vertex cap, and 2,512,290 arcs
+    for build in (lambda: gen_fk(3, 11), lambda: gen_ds(25)):
+        with pytest.raises(SizeCapExceeded, match="arc count exceeds cap 2000000"):
+            build()
 
 
 def test_gen_fk_solver_agreement_all_small():
@@ -126,7 +144,7 @@ def _has_dipath_fas(d):
     arcs = sorted(d.arcs)
     for r in range(len(arcs) + 1):
         for fas in itertools.combinations(arcs, r):
-            rest = d.remove_arcs(fas)
+            rest = Digraph(d.n, d.arcs - set(fas))
             if not helpers.is_acyclic_subset(rest, range(d.n)):
                 continue
             indeg = {}

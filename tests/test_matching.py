@@ -2,7 +2,9 @@ import random
 
 import networkx as nx
 
-from dichroma.matching import exhaustive_max_matching, max_matching
+from dichroma.matching import max_matching
+
+from helpers import exhaustive_max_matching
 
 
 def test_blossom_matches_exhaustive_oracle():

@@ -43,7 +43,7 @@ def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
 
 def test_every_export_is_its_modules_object():
     homes = dichroma._HOMES
-    assert sum(len(names) for names in homes.values()) == len(dichroma.__all__) == 71
+    assert sum(len(names) for names in homes.values()) == len(dichroma.__all__) == 68
     for module, names in homes.items():
         for name in names:
             obj = getattr(dichroma, name)

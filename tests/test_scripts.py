@@ -1,5 +1,6 @@
 """Smoke test of the experiment scripts: each runs in a fresh interpreter
-against this checkout's src, exits 0, and prints its headline lines."""
+against this checkout's src, exits 0, and prints its headline lines.  The
+call census runs as a gate."""
 
 import os
 import subprocess
@@ -34,3 +35,12 @@ def test_script_runs_and_prints_its_headline(argv, lines):
     assert done.returncode == 0, done.stderr
     printed = done.stdout.splitlines()
     assert all(line in printed for line in lines), done.stdout
+
+
+def test_call_census_gate_passes_at_seed_1():
+    # every function the corpora leave unreached is on the census's allow-list
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("DICHROMA_BUDGET", None)
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "call_census.py"), "--seed", "1",
+                           "--corpora-only"], env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (0, ""), done.stdout
