@@ -64,7 +64,6 @@ ALLOWED = {
     "colouring.two_colour_odd_free": "cli branch: brooks on a symmetric even cycle",
     "colouring.TwoColourResult.ok": "cli branch: brooks on a symmetric even cycle",
     "core.Digraph.has_digon": "cli branch: brooks on a symmetric even cycle",
-    "core.topological_order": "cli branch: structure on a transitive tournament",
     "defective._parity_two_colour": "cli branch: defective --d 3 --simple on K_{6,6}",
     "extremal._trace_cycle": "cli branch: extremal --k 3 on a symmetric wheel with five rim vertices",
     "extremal.directed_hajos_join": "acceptance criterion 04",
@@ -85,7 +84,6 @@ ALLOWED = {
     "defective.FactorWitness.verify": "paper result without a command: factor extraction",
     "defective.split_euler": "paper result without a command: the Euler split of a 2k-regular multigraph",
     "extremal.hajos_bijoin": "paper result without a command: the Hajos bijoin",
-    "extremal._joined": "paper result without a command: the bijoin and parallel join preconditions",
     "extremal.parallel_hajos_join": "paper result without a command: the parallel Hajos join",
     "extremal.check_extremal_necessary": "paper result without a command: the necessary conditions",
     "extremal.NecessaryReport.all_pass": "paper result without a command: the necessary conditions",

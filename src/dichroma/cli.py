@@ -486,11 +486,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _glue_lists(argv: list[str]) -> list[str]:
+    """`--colours -1,1,2` as `--colours=-1,1,2`: argparse reads a value that
+    starts with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] in ("--colours", "--tt") and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def run_command(argv: list[str]) -> tuple[dict | None, int]:
     """Execute a command line; returns (report, exit code), with no report
     after --help, whose printed help is the whole answer."""
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser().parse_args(_glue_lists(argv))
     except SystemExit as exc:
         if exc.code == 0:  # argparse exits with 0 once it printed the help
             return None, 0

@@ -19,7 +19,6 @@ from .core import (
     bfs_path,
     bits,
     check_colour_range,
-    is_acyclic,
     mask_of,
     strong_components,
     strong_parts,
@@ -47,14 +46,15 @@ def dicolouring(colours: Sequence[int], k: int | None = None) -> Dicolouring:
     return Dicolouring(cols, kk)
 
 
-def find_cycle_in(d: Digraph, vertices: Sequence[int]) -> list[int] | None:
-    """A directed cycle inside d[vertices], as a vertex list, or None.
+def find_cycle_in(out_masks: Sequence[int], within: int) -> list[int] | None:
+    """A directed cycle inside the vertex bitset `within`, along the
+    out-neighbourhood bitsets `out_masks`, as a vertex list; None when
+    `within` induces an acyclic subdigraph.
 
     Depth-first search with roots in ascending index, each vertex trying
     its out-neighbours inside the set in ascending index; the first arc
     back onto the search path closes the cycle."""
-    out_masks = d.out_masks
-    inside = new = mask_of(vertices)  # new: the vertices not yet visited
+    inside = new = within  # new: the vertices not yet visited
     while new:
         root_bit = new & -new
         new ^= root_bit
@@ -95,8 +95,7 @@ def verify_dicolouring(d: Digraph, c: Dicolouring) -> VerifyResult:
         raise PartialColouring(f"{len(c.colours)} colours for {d.n} vertices")
     check_colour_range(c.colours, c.k)
     for col in range(1, c.k + 1):
-        cls = [v for v in range(d.n) if c.colours[v] == col]
-        cyc = find_cycle_in(d, cls)
+        cyc = find_cycle_in(d.out_masks, mask_of(v for v in range(d.n) if c.colours[v] == col))
         if cyc is not None:
             return VerifyResult(False, tuple(cyc), col)
     return VerifyResult(True)
@@ -364,13 +363,11 @@ def _digon_clique_bound(d: Digraph) -> list[int]:
 
 
 def _cheap_bounds(d: Digraph) -> tuple[int, Dicolouring]:
-    """Lower bound (digon clique, acyclicity) and greedy colouring of a
-    strong component."""
+    """Lower bound (digon clique; 2 from two vertices on, since a strong
+    component of two or more vertices holds a dicycle) and greedy
+    colouring of a strong component."""
     greedy = greedy_dicolour(d, list(range(d.n)))
-    lb = max(1, len(_digon_clique_bound(d)))
-    if not is_acyclic(d.out_masks, (1 << d.n) - 1):
-        lb = max(lb, 2)
-    return lb, greedy
+    return max(min(d.n, 2), len(_digon_clique_bound(d))), greedy
 
 
 def _exact_component(

@@ -417,23 +417,6 @@ def cut_labels(found: Lowpoints) -> list[tuple[int, int, int]]:
     return out + others
 
 
-def is_acyclic(out_masks: Sequence[int], s: int) -> bool:
-    """Does the vertex bitset s induce an acyclic subdigraph?  Peels the
-    vertices with no out-neighbour left in s; a round that peels none
-    leaves a dicycle."""
-    while s:
-        t = s
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if out_masks[v] & s == 0:
-                s &= ~(1 << v)
-        if s == t:
-            return False
-    return True
-
-
 def bfs(
     adj: Sequence[int], within: int, root: int, stop: int = -1
 ) -> tuple[list[int], dict[int, int]]:
@@ -516,23 +499,6 @@ def strong_components(d: Digraph) -> VertexSetPartition:
     `strong_parts`."""
     parts = strong_parts(d.out_masks, (1 << d.n) - 1)
     return VertexSetPartition(d.n, tuple(frozenset(bits(p)) for p in parts))
-
-
-def topological_order(in_masks: Sequence[int], within: int) -> list[int] | None:
-    """The vertices of the bitset `within` in topological order, each step
-    taking the least vertex with no in-neighbour left (Kahn), or None when
-    `within` holds a dicycle."""
-    order = []
-    while within:
-        ready = within
-        while ready and in_masks[(ready & -ready).bit_length() - 1] & within:
-            ready &= ready - 1
-        if not ready:
-            return None
-        v_bit = ready & -ready
-        order.append(v_bit.bit_length() - 1)
-        within ^= v_bit
-    return order
 
 
 def blocks(d: Digraph) -> list[frozenset[int]]:

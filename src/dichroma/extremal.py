@@ -262,9 +262,9 @@ def hajos_bijoin(
     ):
         if arc not in dd.arcs:
             raise PreconditionViolated(f"missing arc {name} = {arc}")
-    if not _joined(d1.und_masks, (1 << d1.n) - 1 & ~(1 << a1), t, w):
+    if not reach(d1.und_masks, (1 << d1.n) - 1 & ~(1 << a1), 1 << t) >> w & 1:
         raise PreconditionViolated("t and w separate when a1 is removed")
-    if not _joined(d2.und_masks, (1 << d2.n) - 1 & ~(1 << a2), u, v):
+    if not reach(d2.und_masks, (1 << d2.n) - 1 & ~(1 << a2), 1 << u) >> v & 1:
         raise PreconditionViolated("u and v separate when a2 is removed")
     emb2 = _append_mapping(d1.n, d2.n, {a2: a1})
     arcs = d1.arcs - {(t, a1), (a1, w)} | _embed(d2.arcs - {(v, a2), (a2, u)}, emb2)
@@ -272,11 +272,6 @@ def hajos_bijoin(
     return BijoinResult(
         dig, degenerate=(t == w) != (u == v), bidirected=(t == w and u == v)
     )
-
-
-def _joined(adj: Sequence[int], within: int, x: int, y: int) -> bool:
-    """Do x and y lie in one component of the vertex bitset within?"""
-    return reach(adj, within, 1 << x) >> y & 1 == 1
 
 
 def _tree_structure(n: int, tree_edges: Sequence[tuple[int, int]]):
@@ -418,9 +413,9 @@ def parallel_hajos_join(
             raise PreconditionViolated(f"extra crossing arc {p}->{q}")
     if not d_b.has_digon(a, b):
         raise PreconditionViolated("d_b lacks the digon [a, b]")
-    if not _joined(d_ac.und_masks, (1 << d_ac.n) - 1 & ~(1 << x), t, w):
+    if not reach(d_ac.und_masks, (1 << d_ac.n) - 1 & ~(1 << x), 1 << t) >> w & 1:
         raise PreconditionViolated("t and w separate when x is removed")
-    if not _joined(d_ac.und_masks, mask_of(cset - {x}), u, v):
+    if not reach(d_ac.und_masks, mask_of(cset - {x}), 1 << u) >> v & 1:
         raise PreconditionViolated("u and v separate in the C side without x")
     emb_ac = [-1] * d_ac.n
     for i, z in enumerate(sorted(aset - {x}) + sorted(cset - {x})):

@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .colouring import exact_dichromatic
-from .core import Budget, Digraph, bits, build_digraph, is_acyclic, lexicographic, mask_of
+from .colouring import exact_dichromatic, find_cycle_in
+from .core import Budget, Digraph, bits, build_digraph, lexicographic, mask_of
 from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
@@ -173,7 +173,7 @@ def transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     def extend(s: tuple[int, ...], mask: int, common: int):
         out.append(s)
         for v in bits(common):
-            if is_acyclic(d.out_masks, mask | 1 << v):
+            if find_cycle_in(d.out_masks, mask | 1 << v) is None:
                 extend(s + (v,), mask | 1 << v, common & d.und_masks[v] & -(2 << v))
 
     for v in range(d.n):

@@ -14,18 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .colouring import Dicolouring
+from .colouring import Dicolouring, find_cycle_in
 from .core import (
     Digraph,
     bfs,
     bits,
     contract,
-    is_acyclic,
     mask_of,
     partition,
     strong_components,
     strong_parts,
-    topological_order,
 )
 from .errors import (
     InvalidInput,
@@ -49,7 +47,7 @@ def _is_semicomplete(d: Digraph, s: int) -> bool:
 
 
 def _is_transitive_tournament(d: Digraph, s: int) -> bool:
-    return _is_tournament(d, s) and is_acyclic(d.out_masks, s)
+    return _is_tournament(d, s) and find_cycle_in(d.out_masks, s) is None
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,8 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
         semi_in = _is_semicomplete(d, ins)
         tour_out = semi_out and _digon_free(d, outs)
         tour_in = semi_in and _digon_free(d, ins)
-        trans_out = tour_out and is_acyclic(d.out_masks, outs)
-        in_round = tour_out and is_acyclic(d.out_masks, ins)
+        trans_out = tour_out and find_cycle_in(d.out_masks, outs) is None
+        in_round = tour_out and find_cycle_in(d.out_masks, ins) is None
         if not semi_out:
             fail("locally_out_semicomplete", v)
             fail("locally_semicomplete", v)
@@ -175,7 +173,7 @@ def inround_order(d: Digraph) -> InRoundResult:
     for v in range(d.n):
         if not _is_tournament(d, d.out_masks[v]):
             return InRoundResult(failing_vertex=v, failing_condition="out-not-tournament")
-        if not is_acyclic(d.out_masks, d.in_masks[v]):
+        if find_cycle_in(d.out_masks, d.in_masks[v]) is not None:
             return InRoundResult(failing_vertex=v, failing_condition="in-not-acyclic")
     f = [0] * d.n
     for x in range(d.n):
@@ -459,17 +457,18 @@ def semicomplete_structure(d: Digraph) -> SemicompleteStructure:
 
 def _round_order(q: Digraph) -> CyclicOrder:
     """Round order of an oriented quotient: the in-round construction for
-    strong quotients, the unique-source topological order for acyclic ones
-    (a connected non-strong round oriented graph is an acyclic one whose
-    order is a Hamiltonian dipath)."""
+    strong quotients, the order of the singleton strong parts for acyclic
+    ones (a connected non-strong round oriented graph is an acyclic one
+    whose order is a Hamiltonian dipath, its only topological order)."""
     if q.is_strong:
         res = inround_order(q)
         if res.ok and satisfies_round(q, res.order.order):
             return res.order
         raise InvalidInput("quotient of weak hubs is not round")
-    order = topological_order(q.in_masks, (1 << q.n) - 1)
-    if order is None:
+    full = (1 << q.n) - 1
+    if find_cycle_in(q.out_masks, full) is not None:
         raise InvalidInput("quotient neither strong nor acyclic")
+    order = [p.bit_length() - 1 for p in strong_parts(q.out_masks, full)]
     if not satisfies_round(q, order):
         raise InvalidInput("quotient of weak hubs is not round")
     return CyclicOrder.from_sequence(order)

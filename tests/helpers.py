@@ -17,7 +17,6 @@ from dichroma.core import (
     Multigraph,
     build_digraph,
     build_multigraph,
-    is_acyclic,
     lexicographic,
 )
 from dichroma.errors import BadParameters, BadVertex
@@ -152,14 +151,12 @@ def backtrack_transitive_subsets(d: Digraph) -> list[tuple[int, ...]]:
     """The vertex subsets inducing a transitive tournament, in DFS order
     over increasing vertex indices, each later vertex tested in turn."""
     out: list[tuple[int, ...]] = []
-
-    def closed(mask: int, v: int) -> bool:
-        return mask & ~d.und_masks[v] == 0 and is_acyclic(d.out_masks, mask | 1 << v)
+    succ = out_sets(d)
 
     def extend(s: tuple[int, ...], mask: int, start: int):
         out.append(s)
         for v in range(start, d.n):
-            if closed(mask, v):
+            if mask & ~d.und_masks[v] == 0 and is_acyclic_subset(d, s + (v,), succ):
                 extend(s + (v,), mask | 1 << v, v + 1)
 
     for v in range(d.n):
@@ -263,10 +260,15 @@ def dsatur_feasible_k(d: Digraph, k: int, steps: Budget) -> list[int] | None:
 # --- minimum acyclic partition by restricted growth strings ----------------
 
 
-def is_acyclic_subset(d: Digraph, s: Iterable[int]) -> bool:
+def is_acyclic_subset(d: Digraph, s: Iterable[int], out: list[set[int]] | None = None) -> bool:
+    """Kahn's peeling of d[s] on neighbour sets read from the arc set;
+    `out`, the out-neighbour sets of d, saves rereading it per subset."""
     inside = set(s)
-    out, inn = out_sets(d), in_sets(d)
-    indeg = {v: len(inn[v] & inside) for v in inside}
+    out = out_sets(d) if out is None else out
+    indeg = dict.fromkeys(inside, 0)
+    for v in inside:
+        for w in out[v] & inside:
+            indeg[w] += 1
     ready = [v for v in inside if indeg[v] == 0]
     done = 0
     while ready:

@@ -209,10 +209,21 @@ def test_verify_rejects_out_of_range_colours(files, tmp_path, capsys):
         (["verify", files["c3"], "--colours", "0,0,0"], "colour 0 outside 1..0"),
         (["verify", str(triangle), "--colours", "0,0,0", "--d", "2"], "colour 0 outside 1..0"),
         (["verify", str(triangle), "--colours=-1,1,2", "--d", "2"], "colour -1 outside 1..2"),
+        # argparse would read a list that starts with '-' as an option
+        (["verify", str(triangle), "--colours", "-1,1,2", "--d", "2"], "colour -1 outside 1..2"),
+        (["verify", files["c3"], "--colours", "-1,1,2"], "colour -1 outside 1..2"),
     ]:
         code = main(argv)
         err = json.loads(capsys.readouterr().out)
         assert code == 2 and err["error"] == {"type": "InvalidInput", "message": bad}
+
+
+def test_dicolour2_tt_may_start_with_a_minus(files, capsys):
+    for argv in (["dicolour2", files["c3"], "--tt", "-1,2"], ["dicolour2", files["c3"], "--tt=-1,2"]):
+        code = main(argv)
+        err = json.loads(capsys.readouterr().out)
+        assert code == 2 and err["error"] == {
+            "type": "PreconditionViolated", "message": "t outside the vertex range"}
 
 
 def test_verify_malformed_colours_is_usage_error(files, capsys):

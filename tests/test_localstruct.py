@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dichroma.cli import format_digraph, run_command
 from dichroma.colouring import exact_dichromatic, verify_dicolouring
 from dichroma.core import Digraph, build_digraph, contract, partition
 from dichroma.errors import NotStrong, PreconditionViolated
@@ -165,6 +166,24 @@ def test_semicomplete_structure_cases():
     _assert_four_set(mixed, st3)
     with pytest.raises(PreconditionViolated):
         semicomplete_structure(out_star(2))
+
+
+def test_structure_of_a_relabelled_transitive_tournament(tmp_path):
+    """The acyclic branch of the round blow-up: singleton parts, and the
+    tournament's one topological order as the round order."""
+    rng = random.Random(7)
+    for n in range(2, 9):
+        perm = rng.sample(range(n), n)  # perm[i] takes the place of vertex i
+        d = build_digraph(n, [(perm[a], perm[b]) for a, b in transitive_tournament(n).arcs])
+        order = perm[perm.index(0):] + perm[:perm.index(0)]
+        st = semicomplete_structure(d)
+        assert st.case == "RoundBlowup" and st.order.order == tuple(order)
+        assert set(st.parts) == {frozenset({v}) for v in range(n)}
+        path = tmp_path / f"tt{n}.dg"
+        path.write_text(format_digraph(d))
+        rep, code = run_command(["structure", str(path)])
+        assert code == 0 and rep["case"] == "RoundBlowup" and rep["order"] == order
+        assert sorted(rep["parts"]) == [[v] for v in range(n)]
 
 
 def _assert_four_set(d, st):

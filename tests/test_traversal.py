@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from dichroma.colouring import find_cycle_in
 from dichroma.core import (
     Digraph,
     Multigraph,
@@ -17,13 +18,11 @@ from dichroma.core import (
     bits,
     components,
     cut_labels,
-    is_acyclic,
     lowpoints,
     mask_of,
     reach,
     strong_components,
     strong_parts,
-    topological_order,
 )
 from dichroma.errors import Disconnected
 from dichroma.extremal import _star_forests, _underlying as underlying_masks
@@ -204,11 +203,16 @@ def test_bridges_less_one_edge_copy_from_cut_labels():
 
 @given(digraphs(max_n=12), st.data())
 def test_is_acyclic_on_vertex_subsets(d, data):
+    """find_cycle_in gives None exactly on an acyclic induced subdigraph,
+    and otherwise a dicycle of it."""
     s = data.draw(st.sets(st.integers(0, d.n - 1)))
-    sub = nx.DiGraph()
-    sub.add_nodes_from(s)
-    sub.add_edges_from((p, q) for p, q in d.arcs if p in s and q in s)
-    assert is_acyclic(d.out_masks, mask_of(s)) == nx.is_directed_acyclic_graph(sub)
+    sub = _induced(d, s)
+    cyc = find_cycle_in(d.out_masks, mask_of(s))
+    if nx.is_directed_acyclic_graph(sub):
+        assert cyc is None
+    else:
+        assert cyc and len(set(cyc)) == len(cyc)
+        assert all(sub.has_edge(p, q) for p, q in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 @given(digraphs(max_n=12), st.data())
@@ -246,17 +250,6 @@ def test_strong_parts_are_ordered_strong_components(d, data):
     assert all(rank[p] <= rank[q] for p, q in d.arcs if p in rank and q in rank)
     if len(within) == d.n:
         assert strong_components(d).parts == tuple(frozenset(bits(p)) for p in parts)
-
-
-@given(digraphs(max_n=12), st.data())
-def test_topological_order_is_the_least_index_first_order(d, data):
-    within = data.draw(st.sets(st.integers(0, d.n - 1)))
-    sub = _induced(d, within)
-    order = topological_order(d.in_masks, mask_of(within))
-    if not nx.is_directed_acyclic_graph(sub):
-        assert order is None
-    else:
-        assert order == list(nx.lexicographical_topological_sort(sub))
 
 
 @given(digraphs(max_n=12), st.data())
