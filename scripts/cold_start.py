@@ -12,8 +12,10 @@ every run, so drift in the machine's speed falls on all of them alike.
 
 Per command and checkout it records the medians of the whole process's
 wall time, the time to import `dichroma.cli` and the time of the `main`
-call, the exit code, and which `dichroma` modules had run when the process
-ended (a module bound but never used is not counted).  Whether bytecode
+call, the exit code, which `dichroma` modules had run when the process
+ended (a module bound but never used is not counted), and how many modules
+of any package `sys.modules` held then: a count that, unlike the times,
+does not depend on the machine.  Whether bytecode
 caching was on (the interpreter writes .pyc files, or finds some already
 in SRC) is recorded too, since without it every run compiles every module
 it runs.
@@ -65,7 +67,7 @@ t2 = time.perf_counter()
 ran = sorted(name for name, mod in sys.modules.items()
              if name.startswith("dichroma.") and type(mod) is types.ModuleType)
 print(json.dumps({"code": code, "import_ms": (t1 - t0) * 1e3, "main_ms": (t2 - t1) * 1e3,
-                  "ran": ran}))
+                  "ran": ran, "modules": len(sys.modules)}))
 """
 
 
@@ -115,6 +117,7 @@ def main(argv=None):
             "import_ms": round(statistics.median(r["import_ms"] for r in runs), 1),
             "main_ms": round(statistics.median(r["main_ms"] for r in runs), 1),
             "modules_run": runs[0]["ran"],
+            "modules_loaded": runs[0]["modules"],
         }
 
     report = {
@@ -139,8 +142,8 @@ def main(argv=None):
         fh.write("\n")
     for label in sources:
         cmds = report["checkouts"][label]["commands"]
-        print(f"{label}: " + ", ".join(f"{c} {s['wall_ms']:.0f}" for c, s in cmds.items())
-              + " ms")
+        print(f"{label}: " + ", ".join(f"{c} {s['wall_ms']:.0f} ms/{s['modules_loaded']}"
+                                       for c, s in cmds.items()) + " (wall/modules)")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ vertices (bound >= 3); an isolated vertex is the degenerate bound-0 case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .colouring import (
     Dicolouring,
@@ -34,15 +34,13 @@ EXC_SYMMETRIC_ODD_CYCLE = "SymmetricOddCycle"
 EXC_SYMMETRIC_COMPLETE = "SymmetricComplete"
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     vertices: frozenset[int]
     delta_max: int
     exception: str | None
 
 
-@dataclass(frozen=True)
-class BrooksVerdict:
+class BrooksVerdict(NamedTuple):
     components: tuple[ComponentVerdict, ...]
     delta_max: int
     tight: bool  # dichromatic number equals delta_max + 1

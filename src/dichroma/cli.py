@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -412,6 +413,13 @@ def _gen(ns, _) -> tuple[dict, int]:
     return rep, 0
 
 
+# argparse reads an argument that starts with '-' and is not a plain number
+# as an option, so `--colours -1,1,2` would lack its value.  verify and
+# dicolour2 have no option that starts with a digit: there, any `-<digit>…`
+# is a value, after --colours, --tt or any abbreviation argparse accepts.
+_LIST_VALUE = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command table: each subcommand with its handler, called as
     handler(ns, graph) -> (report, exit code), and the graph class its
@@ -440,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", _verify, (Digraph, Multigraph), "verify a dicolouring or edge colouring")
     sp.add_argument("--colours", required=True, help="comma list, one per vertex/edge")
     sp.add_argument("--d", type=int, default=None, help="defect (multigraph files)")
+    sp._negative_number_matcher = _LIST_VALUE
 
     command("brooks", _brooks, Digraph, "tight-case classification and colouring")
     command("lambda", _lambda, Digraph, "local arc-connectivity profile")
@@ -468,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("dicolour2", _dicolour2, Digraph, "2-dicolouring with a monochromatic tournament")
     sp.add_argument("--tt", default="", help="comma list of prescribed vertices")
+    sp._negative_number_matcher = _LIST_VALUE
 
     command("structure", _structure, Digraph, "locally semicomplete three-case structure")
     command("king", _king, Digraph, "least 2-king")
@@ -486,23 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _glue_lists(argv: list[str]) -> list[str]:
-    """`--colours -1,1,2` as `--colours=-1,1,2`: argparse reads a value that
-    starts with '-' and is not a plain number as an option."""
-    out: list[str] = []
-    for a in argv:
-        if out and out[-1] in ("--colours", "--tt") and a[:1] == "-" and a[1:2].isdigit():
-            out[-1] += "=" + a
-        else:
-            out.append(a)
-    return out
-
-
 def run_command(argv: list[str]) -> tuple[dict | None, int]:
     """Execute a command line; returns (report, exit code), with no report
     after --help, whose printed help is the whole answer."""
     try:
-        ns = build_parser().parse_args(_glue_lists(argv))
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # argparse exits with 0 once it printed the help
             return None, 0

@@ -9,8 +9,7 @@ directed cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Budget,
@@ -31,8 +30,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Dicolouring:
+class Dicolouring(NamedTuple):
     """Total assignment vertex -> colour in 1..k."""
 
     colours: tuple[int, ...]
@@ -79,8 +77,7 @@ def find_cycle_in(out_masks: Sequence[int], within: int) -> list[int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     valid: bool
     witness_cycle: tuple[int, ...] | None = None
     witness_colour: int | None = None
@@ -151,8 +148,7 @@ def gallai_roy_colour(d: Digraph, order: Sequence[int]) -> Dicolouring:
     return Dicolouring(tuple(f), max(f, default=0))
 
 
-@dataclass(frozen=True)
-class TwoColourResult:
+class TwoColourResult(NamedTuple):
     colouring: Dicolouring | None = None
     odd_cycle: tuple[int, ...] | None = None
 
@@ -292,8 +288,7 @@ def dipolar_combine(
     return Dicolouring(tuple(colour), 2 * c)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     value: int
     colouring: Dicolouring
 

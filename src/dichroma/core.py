@@ -9,7 +9,6 @@ vertex index so downstream certificates are deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,16 +25,18 @@ from .errors import (
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Digraph:
+class _DigraphFields(NamedTuple):
+    n: int
+    arcs: frozenset[Arc]
+
+
+class Digraph(_DigraphFields):
     """A loop-free digraph with a duplicate-free set of ordered arcs.
 
     Digons (both uv and vu) are allowed; `is_oriented` reports their
-    absence.
+    absence.  Equal and hashed as the tuple (n, arcs); the instance dict
+    holds only the cached properties.
     """
-
-    n: int
-    arcs: frozenset[Arc]
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
@@ -116,20 +117,20 @@ class Digraph:
         return sorted(self.arcs)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class _MultigraphFields(NamedTuple):
+    n: int
+    edges: tuple[tuple[int, int], ...]
+
+
+class Multigraph(_MultigraphFields):
     """An undirected loop-free multigraph; `edges` is an instance list.
 
     Edge instances keep their input order, so per-edge colourings can be
     serialized positionally.  Endpoints are normalized to u < v.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        edges = tuple((u, v) if u < v else (v, u) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]):
+        return super().__new__(cls, n, tuple((u, v) if u < v else (v, u) for u, v in edges))
 
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -169,8 +170,7 @@ class Multigraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexSetPartition:
+class VertexSetPartition(NamedTuple):
     """Disjoint vertex sets covering 0..n-1, in a fixed order."""
 
     n: int
@@ -558,8 +558,7 @@ def check_colour_range(colours: Iterable[int], k: int) -> None:
         raise InvalidInput(f"colour {bad} outside 1..{k}")
 
 
-@dataclass(frozen=True)
-class EulerResult:
+class EulerResult(NamedTuple):
     """Either a closed trail covering all edges, or a witness of absence."""
 
     tour_vertices: tuple[int, ...] | None = None

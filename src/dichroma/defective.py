@@ -11,8 +11,7 @@ instance in input order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Budget,
@@ -40,14 +39,12 @@ GAMMA_SUBSETS = 1 << 16
 GAMMA_SEED = 0
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(NamedTuple):
     colours: tuple[int, ...]
     k: int
 
 
-@dataclass(frozen=True)
-class EdgeVerifyResult:
+class EdgeVerifyResult(NamedTuple):
     valid: bool
     vertex: int | None = None
     colour: int | None = None
@@ -212,8 +209,7 @@ def colour_shannon_multigraph(k: int, d: int) -> tuple[Multigraph, EdgeColouring
 # factors
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(NamedTuple):
     edge_indices: tuple[int, ...]
     k: int
 
@@ -551,8 +547,7 @@ def _parity_two_colour(g: Multigraph, d: int) -> list[int]:
 # hardness gadget
 
 
-@dataclass(frozen=True)
-class DefectiveGadget:
+class DefectiveGadget(NamedTuple):
     """Regular simple host embedding a graph so that (k, d)-colourability
     matches proper k-edge-colourability, with the forward extension."""
 

@@ -13,9 +13,8 @@ verdict is the conjunction over the children of the first split found.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import cache
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .colouring import exact_dichromatic
 from .core import (
@@ -107,8 +106,7 @@ def local_lambda(d: Digraph, u: int, v: int) -> tuple[int, frozenset[int]]:
     return f, frozenset(bits(side))
 
 
-@dataclass(frozen=True)
-class LambdaProfile:
+class LambdaProfile(NamedTuple):
     """lambda(D) = max lambda(u, v), with the lexicographically first pair
     that attains it, that pair's arc-disjoint dipaths and the source side
     of its least minimum dicut (empty when there is no pair)."""
@@ -232,8 +230,7 @@ def directed_hajos_join(d1: Digraph, arc1: Arc, d2: Digraph, arc2: Arc) -> Digra
     return build_digraph(d1.n + d2.n - 1, _directed_join(children, u, v1, emb2[w]))
 
 
-@dataclass(frozen=True)
-class BijoinResult:
+class BijoinResult(NamedTuple):
     digraph: Digraph
     degenerate: bool
     bidirected: bool
@@ -428,8 +425,7 @@ def parallel_hajos_join(
 # necessary conditions
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(NamedTuple):
     eulerian: bool
     strong: bool
     biconnected: bool
@@ -479,8 +475,7 @@ _JOINS = {
 }
 
 
-@dataclass(frozen=True)
-class CertNode:
+class CertNode(NamedTuple):
     """One node of a decomposition witness tree.
 
     Witness labels live in this node's own 0..n-1 space; each child comes
@@ -530,8 +525,7 @@ def certificate_to_dict(node: CertNode) -> dict:
 # recognition
 
 
-@dataclass(frozen=True)
-class RecognizeResult:
+class RecognizeResult(NamedTuple):
     extremal: bool
     certificate: CertNode | None = None
     reason: str | None = None
@@ -914,8 +908,7 @@ def _validate_parallel(
 # induced-dicycle hypergraph
 
 
-@dataclass(frozen=True)
-class CycleHypergraph:
+class CycleHypergraph(NamedTuple):
     n: int
     hyperedges: tuple[frozenset[int], ...]
     max_intersection: int

@@ -10,10 +10,9 @@ exponential routines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .colouring import exact_dichromatic, find_cycle_in
 from .core import Budget, Digraph, bits, build_digraph, lexicographic, mask_of
@@ -44,8 +43,7 @@ def circ3(a: int | Digraph, b: int | Digraph, c: int | Digraph) -> Digraph:
     return compose_circular([conv(a), conv(b), conv(c)])
 
 
-@dataclass(frozen=True)
-class GeneratedDigraph:
+class GeneratedDigraph(NamedTuple):
     """A generator output with its self-check claims."""
 
     digraph: Digraph
@@ -248,8 +246,7 @@ def _weld_hero_free(f: Digraph) -> Digraph:
     return build_digraph(nxt, arcs)
 
 
-@dataclass(frozen=True)
-class PatternEmbedding:
+class PatternEmbedding(NamedTuple):
     """Injective pattern -> host assignment preserving exact adjacency."""
 
     mapping: tuple[int, ...]

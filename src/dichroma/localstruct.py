@@ -11,8 +11,7 @@ out-neighbourhood just after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .colouring import Dicolouring, find_cycle_in
 from .core import (
@@ -50,8 +49,7 @@ def _is_transitive_tournament(d: Digraph, s: int) -> bool:
     return _is_tournament(d, s) and find_cycle_in(d.out_masks, s) is None
 
 
-@dataclass(frozen=True)
-class LocalClassFlags:
+class LocalClassFlags(NamedTuple):
     locally_out_semicomplete: bool
     locally_out_transitive: bool
     locally_in_tournament: bool
@@ -106,8 +104,7 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
     return LocalClassFlags(**flags, witnesses=wit)
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
+class CyclicOrder(NamedTuple):
     """Vertex permutation up to rotation, canonicalized to start at 0."""
 
     order: tuple[int, ...]
@@ -143,8 +140,7 @@ def satisfies_round(d: Digraph, order: Sequence[int]) -> bool:
     return satisfies_in_round(d, order) and satisfies_in_round(d.reverse(), order[::-1])
 
 
-@dataclass(frozen=True)
-class InRoundResult:
+class InRoundResult(NamedTuple):
     order: CyclicOrder | None = None
     failing_vertex: int | None = None
     failing_condition: str | None = None
@@ -227,8 +223,7 @@ def maximal_hubs(d: Digraph) -> list[frozenset[int]]:
     return sorted(chosen, key=lambda s: sorted(s))
 
 
-@dataclass(frozen=True)
-class HubPartition:
+class HubPartition(NamedTuple):
     parts: tuple[frozenset[int], ...]
     quotient: Digraph
     order: CyclicOrder  # cyclic order of the quotient, by part index
@@ -395,8 +390,7 @@ def _hub_sides(d: Digraph, hub: int) -> tuple[int, int, int]:
     return into & out_of, into & ~out_of, out_of & ~into
 
 
-@dataclass(frozen=True)
-class SemicompleteStructure:
+class SemicompleteStructure(NamedTuple):
     case: str  # "UniversalVertex" | "RoundBlowup" | "FourSetPartition"
     universal_vertex: int | None = None
     parts: tuple[frozenset[int], ...] | None = None
@@ -503,8 +497,7 @@ def shortest_dicycle_length(d: Digraph) -> int | None:
     return min(lengths, default=None)
 
 
-@dataclass(frozen=True)
-class OutDegreeWitness:
+class OutDegreeWitness(NamedTuple):
     vertex: int
     out_degree: int
     bound: float
@@ -534,8 +527,7 @@ def min_outdegree_witness(d: Digraph, k: int) -> OutDegreeWitness:
     return OutDegreeWitness(v, d.d_plus(v), d.n / k)
 
 
-@dataclass(frozen=True)
-class WeightedWitness:
+class WeightedWitness(NamedTuple):
     vertex: int
     weighted_out: float
     bound: float

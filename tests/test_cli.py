@@ -212,6 +212,9 @@ def test_verify_rejects_out_of_range_colours(files, tmp_path, capsys):
         # argparse would read a list that starts with '-' as an option
         (["verify", str(triangle), "--colours", "-1,1,2", "--d", "2"], "colour -1 outside 1..2"),
         (["verify", files["c3"], "--colours", "-1,1,2"], "colour -1 outside 1..2"),
+        # and so would it after any abbreviation of --colours
+        (["verify", files["c3"], "--colo", "-1,1,2"], "colour -1 outside 1..2"),
+        (["verify", files["c3"], "--c", "-1,1,2"], "colour -1 outside 1..2"),
     ]:
         code = main(argv)
         err = json.loads(capsys.readouterr().out)
@@ -219,11 +222,19 @@ def test_verify_rejects_out_of_range_colours(files, tmp_path, capsys):
 
 
 def test_dicolour2_tt_may_start_with_a_minus(files, capsys):
-    for argv in (["dicolour2", files["c3"], "--tt", "-1,2"], ["dicolour2", files["c3"], "--tt=-1,2"]):
-        code = main(argv)
-        err = json.loads(capsys.readouterr().out)
-        assert code == 2 and err["error"] == {
-            "type": "PreconditionViolated", "message": "t outside the vertex range"}
+    for flag in ("--tt", "--t"):
+        for argv in (["dicolour2", files["c3"], flag, "-1,2"], ["dicolour2", files["c3"], f"{flag}=-1,2"]):
+            code = main(argv)
+            err = json.loads(capsys.readouterr().out)
+            assert code == 2 and err["error"] == {
+                "type": "PreconditionViolated", "message": "t outside the vertex range"}
+
+
+def test_other_options_still_read_a_leading_minus_as_an_option(capsys):
+    # gen's --children (abbreviated --c) takes no list of integers
+    code = main(["gen", "wheel", "--c", "-1,2"])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and err["error"] == {"type": "UsageError", "message": "bad usage"}
 
 
 def test_verify_malformed_colours_is_usage_error(files, capsys):
@@ -278,15 +289,13 @@ def test_king_rechecks_its_claim(tmp_path, capsys, monkeypatch):
     ids=["not-an-arc", "arc-reused", "path-missing", "wrong-end"],
 )
 def test_lambda_rechecks_its_dipaths(files, capsys, monkeypatch, graph, corrupt):
-    import dataclasses
-
     from dichroma import extremal
 
     profile = extremal.lambda_profile
 
     def corrupted(d):
         prof = profile(d)
-        return dataclasses.replace(prof, paths=corrupt(prof.paths))
+        return prof._replace(paths=corrupt(prof.paths))
 
     assert main(["lambda", files[graph]]) == 0
     capsys.readouterr()

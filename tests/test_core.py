@@ -59,6 +59,19 @@ def test_degree_symbols():
     assert transitive_tournament(4).is_oriented
 
 
+def test_graphs_are_frozen_values_with_cached_adjacency():
+    arcs = frozenset({(0, 1), (1, 2)})
+    d = Digraph(3, arcs)
+    assert d == Digraph(3, frozenset(arcs)) and hash(d) == hash((3, arcs))
+    g = Multigraph(3, ((1, 0), (0, 1), (1, 2)))
+    assert g.edges == ((0, 1), (0, 1), (1, 2))
+    assert g == Multigraph(3, g.edges) and hash(g) == hash((3, g.edges))
+    for graph, field in ((d, "n"), (d, "arcs"), (g, "n"), (g, "edges")):
+        with pytest.raises(AttributeError):
+            setattr(graph, field, None)
+    assert d.out_masks is d.out_masks and g.adj is g.adj
+
+
 def test_induced_on_every_vertex_is_the_digraph_itself():
     d = build_digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     whole, labels = d.induced([3, 1, 0, 2, 1])
