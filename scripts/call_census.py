@@ -62,7 +62,6 @@ ALLOWED = {
     "brooks._merge_blocks": "cli branch: brooks on a 2-regular digraph with a cut vertex",
     "brooks._colour_regular_biconnected": "cli branch: brooks on a symmetric even cycle",
     "colouring.two_colour_odd_free": "cli branch: brooks on a symmetric even cycle",
-    "colouring.TwoColourResult.ok": "cli branch: brooks on a symmetric even cycle",
     "core.Digraph.has_digon": "cli branch: brooks on a symmetric even cycle",
     "defective._parity_two_colour": "cli branch: defective --d 3 --simple on K_{6,6}",
     "extremal._trace_cycle": "cli branch: extremal --k 3 on a symmetric wheel with five rim vertices",
@@ -75,22 +74,8 @@ ALLOWED = {
     "defective.shannon_block_order": "acceptance criterion 08, through colour_shannon_multigraph",
     "defective.DefectiveGadget.extend": "acceptance criterion 11",
     "extremal.check_2_extremal": "script wheel_search.py",
-    "colouring.gallai_roy_colour": "paper result without a command: the longest backward dipath bound",
-    "colouring._odd_dicycle_from_conflict": "paper result without a command: the odd dicycle of two_colour_odd_free",
-    "colouring._odd_cycle_from_trail": "paper result without a command: the odd dicycle of two_colour_odd_free",
-    "colouring.is_dipolar": "paper result without a command: the dipolar combination",
-    "colouring.dipolar_combine": "paper result without a command: the dipolar combination",
     "defective.extract_factor": "paper result without a command: factor extraction",
     "defective.FactorWitness.verify": "paper result without a command: factor extraction",
-    "defective.split_euler": "paper result without a command: the Euler split of a 2k-regular multigraph",
-    "extremal.hajos_bijoin": "paper result without a command: the Hajos bijoin",
-    "extremal.parallel_hajos_join": "paper result without a command: the parallel Hajos join",
-    "extremal.check_extremal_necessary": "paper result without a command: the necessary conditions",
-    "extremal.NecessaryReport.all_pass": "paper result without a command: the necessary conditions",
-    "extremal.local_lambda": "paper result without a command: the necessary conditions",
-    "extremal.induced_cycle_hypergraph": "paper result without a command: the induced dicycle hypergraph",
-    "extremal.induced_cycle_hypergraph.<locals>.extend": "paper result without a command: the induced dicycle hypergraph",
-    "extremal.CycleHypergraph.pairwise_ok": "paper result without a command: the induced dicycle hypergraph",
     "localstruct.min_outdegree_witness": "paper result without a command: the low out-degree vertex",
     "localstruct.OutDegreeWitness.verdict": "paper result without a command: the low out-degree vertex",
     "localstruct.shortest_dicycle_length": "paper result without a command: the low out-degree witnesses",

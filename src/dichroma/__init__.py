@@ -48,9 +48,7 @@ _HOMES = {
     colouring: (
         "Dicolouring",
         "ExactResult",
-        "dipolar_combine",
         "exact_dichromatic",
-        "gallai_roy_colour",
         "greedy_dicolour",
         "two_colour_odd_free",
         "verify_dicolouring",
@@ -77,23 +75,17 @@ _HOMES = {
         "extract_factor",
         "gamma_d",
         "np_gadget_defective",
-        "split_euler",
         "verify_edge_colouring",
     ),
     extremal: (
         "CertNode",
         "LambdaProfile",
         "check_2_extremal",
-        "check_extremal_necessary",
         "directed_hajos_join",
         "generalized_wheel",
-        "hajos_bijoin",
         "hajos_star_join",
         "hajos_tree_join",
-        "induced_cycle_hypergraph",
         "lambda_profile",
-        "local_lambda",
-        "parallel_hajos_join",
         "recognize_k_extremal",
     ),
     heroes: (

@@ -133,9 +133,9 @@ def _colour_component(d: Digraph) -> list[int]:
     # cycles: every same-side pair is a cutset).  The bound still holds, by
     # bipartition when no odd dicycle exists, else by exact search.
     if k == 2:
-        res = two_colour_odd_free(d)
-        if res.ok:
-            return list(res.colouring.colours)
+        two = two_colour_odd_free(d)
+        if two is not None:
+            return list(two.colours)
         return list(exact_dichromatic(d).colouring.colours)
     # For k >= 3 a triple should always exist; never return an invalid
     # colouring even if this assumption fails.

@@ -27,7 +27,7 @@ from . import defective as def_mod
 from . import extremal as ext_mod
 from . import heroes as hero_mod
 from . import localstruct as loc_mod
-from .core import Digraph, Multigraph, build_digraph, build_multigraph
+from .core import Digraph, Multigraph, build_digraph, build_multigraph, contract, partition
 from .errors import (
     DichromaError,
     FileSemanticError,
@@ -168,6 +168,8 @@ def _verify(ns, g) -> tuple[dict, int]:
         )
         rep = {"valid": res.valid}
         if not res.valid:
+            count = sum(c == res.colour and res.vertex in e for e, c in zip(g.edges, cols))
+            _self_check(count == res.count > ns.d, "a vertex with more than d edges of a colour")
             rep["witness"] = {
                 "vertex": res.vertex,
                 "colour": res.colour,
@@ -177,8 +179,13 @@ def _verify(ns, g) -> tuple[dict, int]:
     res = col_mod.verify_dicolouring(g, col_mod.dicolouring(cols))
     rep = {"valid": res.valid}
     if not res.valid:
+        cyc = res.witness_cycle
+        _self_check(len(set(cyc)) == len(cyc) >= 2
+                    and g.arcs.issuperset(zip(cyc, cyc[1:] + cyc[:1]))
+                    and all(cols[v] == res.witness_colour for v in cyc),
+                    "a monochromatic dicycle")
         rep["witness"] = {
-            "cycle": list(res.witness_cycle),
+            "cycle": list(cyc),
             "colour": res.witness_colour,
         }
     return rep, 0
@@ -278,11 +285,20 @@ def _round(ns, d) -> tuple[dict, int]:
 
 def _hubs(ns, d) -> tuple[dict, int]:
     hp = loc_mod.hub_decomposition(d)
+    parts = [sorted(p) for p in hp.parts]
+    _self_check(sorted(v for p in parts for v in p) == list(range(d.n))
+                and all(p and d.induced(p)[0].is_strong for p in parts),
+                "the hubs are strong parts of a partition")
+    quotient = contract(d, partition(d.n, parts))
+    _self_check(hp.quotient == quotient, "the quotient is the contraction")
+    order = hp.order.order
+    _self_check(sorted(order) == list(range(quotient.n))
+                and loc_mod.satisfies_in_round(quotient, order), "in-round order")
     return (
         {
-            "hubs": [sorted(p) for p in hp.parts],
-            "quotient_arcs": [list(a) for a in hp.quotient.sorted_arcs()],
-            "order": list(hp.order.order),
+            "hubs": parts,
+            "quotient_arcs": [list(a) for a in quotient.sorted_arcs()],
+            "order": list(order),
         },
         0,
     )

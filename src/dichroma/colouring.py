@@ -1,6 +1,5 @@
 """Dicolouring semantics: verification, exact dichromatic number, and the
-generic colouring constructions (greedy, longest-backward-path,
-odd-cycle-free, dipolar combination).
+generic colouring constructions (greedy, odd-cycle-free).
 
 A dicolouring is valid when every colour class induces an acyclic
 subdigraph; the witness for invalidity is always a concrete monochromatic
@@ -15,19 +14,13 @@ from .core import (
     Budget,
     Digraph,
     bfs,
-    bfs_path,
     bits,
     check_colour_range,
     mask_of,
     strong_components,
     strong_parts,
 )
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    NotDipolar,
-    PartialColouring,
-)
+from .errors import BudgetExceeded, InvalidInput, PartialColouring
 
 
 class Dicolouring(NamedTuple):
@@ -123,50 +116,15 @@ def greedy_dicolour(d: Digraph, order: Sequence[int]) -> Dicolouring:
     return Dicolouring(tuple(colour), max(colour, default=0))
 
 
-def gallai_roy_colour(d: Digraph, order: Sequence[int]) -> Dicolouring:
-    """Colour vertices by the longest backward-arcs-only dipath ending there.
+def two_colour_odd_free(d: Digraph) -> Dicolouring | None:
+    """2-dicolouring of a digraph with no odd dicycle; None when it has one.
 
-    Arcs u->v with u later than v in `order` are backward; f(v) counts the
-    vertices of the longest all-backward dipath ending at v.  The classes
-    f^-1(i) contain no backward arc, hence no dicycle.
-    """
-    if sorted(order) != list(range(d.n)):
-        raise InvalidInput("order must be a permutation of the vertices")
-    pos = [0] * d.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    f = [1] * d.n
-    # A backward dipath strictly decreases position, so process vertices in
-    # decreasing position: predecessors along backward arcs come earlier.
-    for v in sorted(range(d.n), key=lambda x: -pos[x]):
-        best = 1
-        for u in bits(d.in_masks[v]):
-            if pos[u] > pos[v]:
-                if f[u] + 1 > best:
-                    best = f[u] + 1
-        f[v] = best
-    return Dicolouring(tuple(f), max(f, default=0))
-
-
-class TwoColourResult(NamedTuple):
-    colouring: Dicolouring | None = None
-    odd_cycle: tuple[int, ...] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.colouring is not None
-
-
-def two_colour_odd_free(d: Digraph) -> TwoColourResult:
-    """2-dicolouring of a digraph with no odd dicycle, or an odd dicycle.
-
-    Per strong component the underlying graph is bipartite when no odd
-    dicycle exists; an odd underlying cycle is rerouted through shortest
-    dipaths into an odd closed trail, which always contains an odd dicycle.
+    A strong digraph has an odd dicycle exactly when its underlying graph
+    is not bipartite, so each strong component is sided by one
+    breadth-first search, and any edge inside a side means an odd dicycle.
     """
     colour = [1] * d.n
     for comp in strong_parts(d.out_masks, (1 << d.n) - 1):
-        # a strong component is connected: one breadth-first search sides it
         queue, parent = bfs(d.und_masks, comp, (comp & -comp).bit_length() - 1)
         odd = 0
         for v in queue[1:]:
@@ -174,118 +132,10 @@ def two_colour_odd_free(d: Digraph) -> TwoColourResult:
                 odd |= 1 << v
         for v in queue:
             side = odd if odd >> v & 1 else ~odd
-            same = d.und_masks[v] & comp & side
-            if same:
-                # the first conflict the search meets; v and w sit at the
-                # same depth, so they climb to their common ancestor in step
-                pv, pw = [v], [(same & -same).bit_length() - 1]
-                while pv[-1] != pw[-1]:
-                    pv.append(parent[pv[-1]])
-                    pw.append(parent[pw[-1]])
-                cycle = _odd_dicycle_from_conflict(d, comp, pv + pw[-2::-1])
-                return TwoColourResult(odd_cycle=tuple(cycle))
+            if d.und_masks[v] & comp & side:
+                return None
             colour[v] = 2 if odd >> v & 1 else 1
-    return TwoColourResult(colouring=Dicolouring(tuple(colour), 2 if d.n else 0))
-
-
-def _odd_dicycle_from_conflict(d: Digraph, inside: int, und_cycle: list[int]) -> list[int]:
-    """An odd dicycle inside a strong vertex bitset, from an odd cycle of
-    its underlying graph.
-
-    Walks an odd closed trail built from shortest dipaths between the
-    vertices of the underlying cycle, then pops the first odd dicycle
-    out of the trail.
-    """
-    trail: list[int] = []
-    for i, a in enumerate(und_cycle):
-        b = und_cycle[(i + 1) % len(und_cycle)]
-        if (a, b) in d.arcs:
-            seg = [a, b]
-        else:
-            seg = bfs_path(d.out_masks, inside, a, b)
-            # an even-length dipath plus the reverse arc closes an odd
-            # dicycle directly
-            if len(seg) % 2 == 1:
-                return seg
-        trail.extend(seg[:-1])
-    return _odd_cycle_from_trail(trail)
-
-
-def _odd_cycle_from_trail(trail: list[int]) -> list[int]:
-    """Extract an odd dicycle from a closed trail of odd length.
-
-    Scanning the trail, every vertex repeat pops a dicycle; the lengths of
-    popped dicycles sum to the trail length, so one of them is odd.
-    """
-    stack: list[int] = []
-    where: dict[int, int] = {}
-    cycles: list[list[int]] = []
-    for v in trail + [trail[0]]:
-        if v in where:
-            i = where[v]
-            cyc = stack[i:]
-            if len(cyc) % 2 == 1:
-                return cyc
-            cycles.append(cyc)
-            for x in cyc:
-                if x != v:
-                    where.pop(x, None)
-            del stack[i:]
-        where[v] = len(stack)
-        stack.append(v)
-    for cyc in cycles:
-        if len(cyc) % 2 == 1:
-            return cyc
-    raise InvalidInput("trail contained no odd dicycle")
-
-
-def is_dipolar(d: Digraph, s: set[int]) -> bool:
-    outside = ~mask_of(s)
-    return all(not d.out_masks[x] & outside or not d.in_masks[x] & outside for x in s)
-
-
-def dipolar_combine(
-    d: Digraph,
-    s: set[int],
-    inner: Dicolouring,
-    outer: Dicolouring,
-) -> Dicolouring:
-    """Combine a c-dicolouring of d[s] with a 2c-dicolouring of d minus s.
-
-    Vertices of s whose in-neighbourhood stays inside s keep their inner
-    colour; the rest get inner colour + c.  Every dicycle crossing the
-    boundary then meets both colour ranges.
-    """
-    s = set(s)
-    if not s <= set(range(d.n)):
-        raise InvalidInput("s is not a vertex subset")
-    if not is_dipolar(d, s):
-        raise NotDipolar("some member has out- and in-neighbours outside s")
-    sub, labels = d.induced(sorted(s))
-    if len(inner.colours) != sub.n:
-        raise InvalidInput("inner colouring size mismatch")
-    rest = sorted(set(range(d.n)) - s)
-    if len(outer.colours) != len(rest):
-        raise InvalidInput("outer colouring size mismatch")
-    c = inner.k
-    if outer.k > 2 * c:
-        raise InvalidInput("outer colouring uses more than 2c colours")
-    if not verify_dicolouring(sub, inner).valid:
-        raise InvalidInput("inner colouring invalid")
-    if rest:
-        outside, _ = d.induced(rest)
-        if not verify_dicolouring(outside, outer).valid:
-            raise InvalidInput("outer colouring invalid")
-    colour = [0] * d.n
-    for i, v in enumerate(rest):
-        colour[v] = outer.colours[i]
-    outside = ~mask_of(s)
-    for i, v in enumerate(labels):
-        if not d.in_masks[v] & outside:
-            colour[v] = inner.colours[i]
-        else:
-            colour[v] = inner.colours[i] + c
-    return Dicolouring(tuple(colour), 2 * c)
+    return Dicolouring(tuple(colour), 2 if d.n else 0)
 
 
 class ExactResult(NamedTuple):

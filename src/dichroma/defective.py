@@ -24,7 +24,6 @@ from .core import (
 )
 from .errors import (
     BadParameters,
-    Disconnected,
     EvenD,
     FallbackToExact,
     InvalidInput,
@@ -266,24 +265,9 @@ def extract_factor(g: Multigraph, k: int) -> FactorWitness | None:
 # Euler splitting
 
 
-def split_euler(g: Multigraph):
-    """Split a connected 2k-regular multigraph along an Euler tour.
-
-    Even edge count: two k-factors.  Odd: two parts of maximum degree at
-    most k plus one designated spare edge.  Returns (part_a, part_b,
-    spare_or_None) as edge-index lists.
-    """
-    if g.n == 0 or g.m() == 0:
-        raise NotRegular("empty multigraph")
-    degs = {g.degree(v) for v in range(g.n)}
-    if len(degs) != 1 or (next(iter(degs)) % 2) != 0:
-        raise NotRegular("not an even-regular multigraph")
-    if len(components(g.masks, (1 << g.n) - 1)) != 1:
-        raise Disconnected("multigraph not connected")
-    return _euler_halves(g)
-
-
 def _euler_halves(g: Multigraph):
+    """The edges of an Euler tour of g, alternately in two halves, with the
+    last edge spare when their number is odd."""
     res = euler_tour(g)
     if not res.exists:
         raise NotRegular("no closed trail; degrees not even?")

@@ -48,10 +48,6 @@ class BudgetExceeded(DichromaError):
         super().__init__(message or f"budget exceeded (bounds: {lower}..{upper})")
 
 
-class NotDipolar(DichromaError):
-    """The given vertex set is not dipolar."""
-
-
 class InvalidInput(DichromaError):
     """Structurally valid arguments that violate an operation contract."""
 

@@ -32,7 +32,6 @@ from .core import (
     lowpoints,
     mask_of,
     partition,
-    reach,
 )
 from .errors import (
     BadEmbeddingOrder,
@@ -40,7 +39,6 @@ from .errors import (
     MissingArc,
     MissingDigon,
     ParityViolated,
-    PreconditionViolated,
     UnsupportedK,
 )
 
@@ -94,16 +92,6 @@ def _dipaths(s: int, t: int, fwd: list[int]) -> tuple[tuple[int, ...], ...]:
             path = path[: path.index(y) + 1] if y in path else path + [y]
         paths.append(tuple(path))
     return tuple(paths)
-
-
-def local_lambda(d: Digraph, u: int, v: int) -> tuple[int, frozenset[int]]:
-    """lambda(u, v), the most arc-disjoint u->v dipaths, with the source
-    side X of the least minimum u-v dicut (X, V - X): the set the residual
-    digraph of a maximum flow reaches from u."""
-    if not (u != v and all(isinstance(x, int) and 0 <= x < d.n for x in (u, v))):
-        raise InvalidInput(f"not an ordered pair of distinct vertices: {(u, v)!r}")
-    f, side, _ = _maxflow_unit(d, u, v)
-    return f, frozenset(bits(side))
 
 
 class LambdaProfile(NamedTuple):
@@ -230,47 +218,6 @@ def directed_hajos_join(d1: Digraph, arc1: Arc, d2: Digraph, arc2: Arc) -> Digra
     return build_digraph(d1.n + d2.n - 1, _directed_join(children, u, v1, emb2[w]))
 
 
-class BijoinResult(NamedTuple):
-    digraph: Digraph
-    degenerate: bool
-    bidirected: bool
-
-
-def hajos_bijoin(
-    d1: Digraph,
-    taw: tuple[int, int, int],
-    d2: Digraph,
-    vau: tuple[int, int, int],
-) -> BijoinResult:
-    """Two-arc join over one shared vertex.
-
-    Removes t->a1->w from the first digraph and v->a2->u from the second,
-    identifies a1 with a2, and adds the crossing arcs t->u and v->w.
-    Requires t,w (resp. u,v) to stay connected once a1 (resp. a2) is
-    deleted.  t=w and u=v are allowed; both at once is the bidirected join.
-    """
-    t, a1, w = taw
-    v, a2, u = vau
-    for arc, dd, name in (
-        ((t, a1), d1, "t->a1"),
-        ((a1, w), d1, "a1->w"),
-        ((v, a2), d2, "v->a2"),
-        ((a2, u), d2, "a2->u"),
-    ):
-        if arc not in dd.arcs:
-            raise PreconditionViolated(f"missing arc {name} = {arc}")
-    if not reach(d1.und_masks, (1 << d1.n) - 1 & ~(1 << a1), 1 << t) >> w & 1:
-        raise PreconditionViolated("t and w separate when a1 is removed")
-    if not reach(d2.und_masks, (1 << d2.n) - 1 & ~(1 << a2), 1 << u) >> v & 1:
-        raise PreconditionViolated("u and v separate when a2 is removed")
-    emb2 = _append_mapping(d1.n, d2.n, {a2: a1})
-    arcs = d1.arcs - {(t, a1), (a1, w)} | _embed(d2.arcs - {(v, a2), (a2, u)}, emb2)
-    dig = build_digraph(d1.n + d2.n - 1, arcs | {(t, emb2[u]), (emb2[v], w)})
-    return BijoinResult(
-        dig, degenerate=(t == w) != (u == v), bidirected=(t == w and u == v)
-    )
-
-
 def _tree_structure(n: int, tree_edges: Sequence[tuple[int, int]]):
     """Leaves, neighbourhood bitsets and vertex bitset of a tree on 0..n-1."""
     adj = [0] * n
@@ -365,94 +312,6 @@ def hajos_star_join(
     """Tree join over a star: part i carries the digon [centre, rim[i]]."""
     edges = [(centre, r) for r in rim]
     return hajos_tree_join(n, edges, parts, list(rim), check_embedding=check_embedding)
-
-
-def parallel_hajos_join(
-    d_ac: Digraph,
-    x: int,
-    t: int,
-    u: int,
-    v: int,
-    w: int,
-    a_side: Iterable[int],
-    d_b: Digraph,
-    a: int,
-    b: int,
-) -> Digraph:
-    """Splice a digon-carrying digraph into the shared vertex of a
-    two-sided host.
-
-    The host d_ac is split by x into an A side (containing t, w) and a C
-    side (containing u, v) whose only crossing arcs are t->u and v->w.
-    The spliced digraph d_b loses its digon [a, b]; a takes over x's
-    A-side arcs, b its C-side arcs, and the crossing arcs survive.
-
-    Labels: d_b keeps its labels, then the A side minus x in ascending
-    order, then the C side minus x.
-    """
-    aset = set(a_side)
-    if not aset <= set(range(d_ac.n)):
-        raise PreconditionViolated("the A side must hold vertices of d_ac only")
-    if x not in aset:
-        raise PreconditionViolated("x must be a vertex of the A side")
-    cset = (set(range(d_ac.n)) - aset) | {x}
-    if not (t in aset and w in aset and t != x and w != x):
-        raise PreconditionViolated("t and w must lie in the A side, apart from x")
-    if not (u in cset and v in cset and u != x and v != x):
-        raise PreconditionViolated("u and v must lie in the C side, apart from x")
-    if (t, u) not in d_ac.arcs or (v, w) not in d_ac.arcs:
-        raise PreconditionViolated("crossing arcs t->u and v->w must exist")
-    for p, q in d_ac.arcs:
-        crosses = (p in aset - {x} and q in cset - {x}) or (
-            p in cset - {x} and q in aset - {x}
-        )
-        if crosses and (p, q) not in {(t, u), (v, w)}:
-            raise PreconditionViolated(f"extra crossing arc {p}->{q}")
-    if not d_b.has_digon(a, b):
-        raise PreconditionViolated("d_b lacks the digon [a, b]")
-    if not reach(d_ac.und_masks, (1 << d_ac.n) - 1 & ~(1 << x), 1 << t) >> w & 1:
-        raise PreconditionViolated("t and w separate when x is removed")
-    if not reach(d_ac.und_masks, mask_of(cset - {x}), 1 << u) >> v & 1:
-        raise PreconditionViolated("u and v separate in the C side without x")
-    emb_ac = [-1] * d_ac.n
-    for i, z in enumerate(sorted(aset - {x}) + sorted(cset - {x})):
-        emb_ac[z] = d_b.n + i
-    children = [(d_ac.arcs, emb_ac), (d_b.arcs, range(d_b.n))]
-    return build_digraph(d_b.n + d_ac.n - 1, _parallel_join(children, a, b, aset))
-
-
-# ---------------------------------------------------------------------------
-# necessary conditions
-
-
-class NecessaryReport(NamedTuple):
-    eulerian: bool
-    strong: bool
-    biconnected: bool
-    lambda_all_k: bool
-    lambda_value: int
-
-    @property
-    def all_pass(self) -> bool:
-        return self.eulerian and self.strong and self.biconnected and self.lambda_all_k
-
-
-def check_extremal_necessary(d: Digraph, k: int) -> NecessaryReport:
-    """Cheap necessary filters: balanced degrees, strong, biconnected, and
-    every ordered pair having local arc-connectivity exactly k."""
-    eul = all(d.d_plus(v) == d.d_minus(v) for v in range(d.n))
-    strong = d.is_strong
-    bic = d.is_biconnected
-    lam_ok = False
-    lam_max = 0
-    if strong and d.n >= 2:
-        lam_max = lambda_profile(d).value
-        # max = min = k: every pair is k.  The min is the least of the n
-        # values lambda(v, v + 1 mod n), since every X with 0 < |X| < n
-        # holds some v with v + 1 mod n outside it (Schnorr 1979)
-        cyclic = (local_lambda(d, v, (v + 1) % d.n)[0] for v in range(d.n))
-        lam_ok = lam_max == k == min(cyclic)
-    return NecessaryReport(eul, strong, bic, lam_ok, lam_max)
 
 
 # ---------------------------------------------------------------------------
@@ -902,82 +761,6 @@ def _validate_parallel(
         if _verify_split(d, JOIN_PARALLEL, witness, children):
             return JOIN_PARALLEL, witness, children
     return None
-
-
-# ---------------------------------------------------------------------------
-# induced-dicycle hypergraph
-
-
-class CycleHypergraph(NamedTuple):
-    n: int
-    hyperedges: tuple[frozenset[int], ...]
-    max_intersection: int
-    violating_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def pairwise_ok(self) -> bool:
-        return self.max_intersection <= 1
-
-
-def induced_cycle_hypergraph(
-    d: Digraph, node_budget: int = 2_000_000
-) -> CycleHypergraph:
-    """Vertex sets of all induced dicycles, with a pairwise-intersection
-    report.  DFS over chordless dipaths rooted at each cycle's smallest
-    vertex; exponential in general, guarded by a node budget."""
-    edges: set[frozenset[int]] = set()
-    nodes = Budget(node_budget, "induced-cycle budget")
-
-    def extend(path: list[int], inside: set[int]):
-        nodes.tick(len(edges))
-        v0 = path[0]
-        last = path[-1]
-        for nxt in bits(d.out_masks[last]):
-            if nxt in inside or nxt < v0:
-                continue
-            if len(path) >= 2 and (nxt, last) in d.arcs:
-                continue  # reverse arc to the predecessor would be a chord
-            if any((nxt, p) in d.arcs or (p, nxt) in d.arcs for p in path[1:-1]):
-                continue  # adjacency with the interior breaks chordlessness
-            closes = (nxt, v0) in d.arcs
-            chord0 = (v0, nxt) in d.arcs
-            if len(path) == 1:
-                if closes and chord0:
-                    edges.add(frozenset({v0, nxt}))  # digon
-                    continue
-                if closes:
-                    edges.add(frozenset({v0, nxt} | set(path)))
-                    continue
-                path.append(nxt)
-                inside.add(nxt)
-                extend(path, inside)
-                inside.remove(nxt)
-                path.pop()
-            else:
-                if closes:
-                    if not chord0:
-                        edges.add(frozenset(path + [nxt]))
-                    continue
-                if chord0:
-                    continue
-                path.append(nxt)
-                inside.add(nxt)
-                extend(path, inside)
-                inside.remove(nxt)
-                path.pop()
-
-    for v in range(d.n):
-        extend([v], {v})
-    uniq = sorted(edges, key=lambda e: (len(e), sorted(e)))
-    worst = 0
-    bad: list[tuple[int, int]] = []
-    for i in range(len(uniq)):
-        for j in range(i + 1, len(uniq)):
-            inter = len(uniq[i] & uniq[j])
-            worst = max(worst, inter)
-            if inter >= 2:
-                bad.append((i, j))
-    return CycleHypergraph(d.n, tuple(uniq), worst, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from dichroma.cli import (
     parse_graph,
     run_command,
 )
+from dichroma.core import Digraph
 from dichroma.errors import FileSemanticError, FileSyntaxError
 from dichroma.families import dicycle, shannon_multigraph
 from dichroma.heroes import PATTERNS
+from dichroma.localstruct import CyclicOrder
 
 import helpers
 from helpers import sym_complete
@@ -306,6 +308,83 @@ def test_lambda_rechecks_its_dipaths(files, capsys, monkeypatch, graph, corrupt)
         "type": "SelfCheckFailed",
         "message": "re-check failed: lambda arc-disjoint dipaths",
     }
+
+
+DICYCLE = "a monochromatic dicycle"
+OVERFULL = "a vertex with more than d edges of a colour"
+
+
+@pytest.mark.parametrize(
+    "args, corrupt, claim",
+    [
+        (["c3", "--colours", "1,1,1"],
+         lambda res: res._replace(witness_cycle=(0, 2, 1)), DICYCLE),  # 0->2 is not an arc
+        (["c3", "--colours", "1,1,1"],
+         lambda res: res._replace(witness_cycle=(0, 1, 2) * 2), DICYCLE),  # vertices repeat
+        (["c3", "--colours", "1,1,1"], lambda res: res._replace(witness_cycle=()), DICYCLE),
+        (["c3", "--colours", "1,1,1"], lambda res: res._replace(witness_colour=2), DICYCLE),
+        (["sh4", "--colours", "1,1,1,1,1,1", "--d", "3"],
+         lambda res: res._replace(count=3), OVERFULL),  # each vertex has 4
+        (["sh4", "--colours", "1,1,1,1,1,1", "--d", "3"],
+         lambda res: res._replace(colour=2), OVERFULL),
+        (["sh4", "--colours", "1,1,1,1,1,1", "--d", "4"],  # 4 edges of a colour are allowed
+         lambda res: res._replace(valid=False, vertex=0, colour=1, count=4), OVERFULL),
+    ],
+    ids=["not-an-arc", "repeat", "empty", "colour", "count", "edge-colour", "within-d"],
+)
+def test_verify_rechecks_its_invalid_witness(files, capsys, monkeypatch, args, corrupt, claim):
+    from dichroma import colouring, defective
+
+    module, name = ((colouring, "verify_dicolouring") if claim == DICYCLE
+                    else (defective, "verify_edge_colouring"))
+    argv = ["verify", files[args[0]], *args[1:]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    verify = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: corrupt(verify(*a)))
+    code = main(argv)
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {"type": "SelfCheckFailed", "message": f"re-check failed: {claim}"}
+
+
+@pytest.mark.parametrize(
+    "corrupt, claim",
+    [
+        (lambda hp: hp._replace(parts=(frozenset({0, 1}), frozenset({2}))),  # 0->1 alone
+         "the hubs are strong parts of a partition"),
+        (lambda hp: hp._replace(parts=hp.parts[:2]), "the hubs are strong parts of a partition"),
+        (lambda hp: hp._replace(quotient=Digraph(3, hp.quotient.arcs - {(2, 0)})),
+         "the quotient is the contraction"),
+        (lambda hp: hp._replace(order=CyclicOrder((0, 2, 1))), "in-round order"),
+        (lambda hp: hp._replace(order=CyclicOrder((0, 1))), "in-round order"),
+    ],
+    ids=["part-not-strong", "vertex-missing", "quotient", "order", "order-short"],
+)
+def test_hubs_rechecks_its_decomposition(files, capsys, monkeypatch, corrupt, claim):
+    from dichroma import localstruct
+
+    assert main(["hubs", files["c3"]]) == 0
+    capsys.readouterr()
+    decompose = localstruct.hub_decomposition
+    monkeypatch.setattr(localstruct, "hub_decomposition", lambda d: corrupt(decompose(d)))
+    code = main(["hubs", files["c3"]])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {"type": "SelfCheckFailed", "message": f"re-check failed: {claim}"}
+
+
+# the commands whose handler emits its report without a `_self_check`, and why
+UNCHECKED = {
+    "structure": "its three cases are not re-checked yet",
+    "gadget": "a construction, which makes no claim",
+    "gen": "its --verify is the check",
+}
+
+
+def test_every_handler_rechecks_its_claim_or_is_listed():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    unchecked = {name for name, sp in commands.items()
+                 if "_self_check" not in sp.get_default("handler").__code__.co_names}
+    assert unchecked == set(UNCHECKED)
 
 
 def test_defective_budget_reaches_the_exact_fallback(tmp_path, capsys):

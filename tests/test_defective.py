@@ -13,12 +13,12 @@ from dichroma.defective import (
     gamma_d,
     np_gadget_defective,
     shannon_block_order,
-    split_euler,
     verify_edge_colouring,
+    _euler_halves,
     _factor,
     _tower,
 )
-from dichroma.errors import BadParameters, EvenD, InvalidInput, NotRegular, OddK
+from dichroma.errors import BadParameters, EvenD, InvalidInput, OddK
 from dichroma.families import shannon_multigraph
 from dichroma.vizing import vizing_colour
 
@@ -85,7 +85,8 @@ def test_shannon_block_order_triangles():
 
 
 def test_split_euler_examples():
-    a, b, spare = split_euler(complete_graph(5))
+    # the ladder's split of an even-regular multigraph along an Euler tour
+    a, b, spare = _euler_halves(complete_graph(5))
     assert spare is None and len(a) == 5 and len(b) == 5
     for part in (a, b):
         deg = [0] * 5
@@ -94,12 +95,10 @@ def test_split_euler_examples():
             deg[u] += 1
             deg[v] += 1
         assert all(x == 2 for x in deg)
-    a2, b2, spare2 = split_euler(shannon_multigraph(2))
+    a2, b2, spare2 = _euler_halves(shannon_multigraph(2))
     assert spare2 is not None and len(a2) == 1 and len(b2) == 1
-    a3, b3, spare3 = split_euler(shannon_multigraph(4))
+    a3, b3, spare3 = _euler_halves(shannon_multigraph(4))
     assert spare3 is None and len(a3) == 3
-    with pytest.raises(NotRegular):
-        split_euler(build_multigraph(3, [(0, 1), (1, 2)]))
 
 
 def test_extract_factor_examples():

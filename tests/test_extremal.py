@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import itertools
 import json
 import os
 import random
@@ -13,26 +12,19 @@ from dichroma.colouring import exact_dichromatic
 from dichroma.core import Digraph, bits, build_digraph, components, lowpoints, mask_of, reach
 from dichroma.errors import (
     BadEmbeddingOrder,
-    InvalidInput,
     MissingDigon,
     ParityViolated,
-    PreconditionViolated,
     UnsupportedK,
 )
 from dichroma.extremal import (
     BASE_COMPLETE,
     BASE_ODD_WHEEL,
     check_2_extremal,
-    check_extremal_necessary,
     directed_hajos_join,
     generalized_wheel,
-    hajos_bijoin,
     hajos_star_join,
     hajos_tree_join,
-    induced_cycle_hypergraph,
     lambda_profile,
-    local_lambda,
-    parallel_hajos_join,
     recognize_k_extremal,
 )
 from dichroma.families import dicycle
@@ -50,6 +42,46 @@ def _pairs(n: int):
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
 
+def _local_lambda(d, u, v):
+    """lambda(u, v) and the source side of the least minimum u-v dicut, from
+    one flow."""
+    value, side, _ = extremal._maxflow_unit(d, u, v)
+    return value, set(bits(side))
+
+
+def _bijoin(d1, taw, d2, vau):
+    """The Hajos bijoin: t->a1->w leaves the first digraph and v->a2->u the
+    second, a1 and a2 become one vertex, and t->u and v->w are added.  None
+    unless t, w stay connected without a1, and u, v without a2.  The first
+    digraph keeps its labels, a2 takes a1's, and the rest of the second
+    follow in ascending order."""
+    t, a1, w = taw
+    v, a2, u = vau
+    for d, x, mid, y in ((d1, t, a1, w), (d2, u, a2, v)):
+        if not reach(d.und_masks, (1 << d.n) - 1 & ~(1 << mid), 1 << x) >> y & 1:
+            return None
+    emb2 = extremal._append_mapping(d1.n, d2.n, {a2: a1})
+    arcs = d1.arcs - {(t, a1), (a1, w)}
+    arcs |= {(emb2[p], emb2[q]) for p, q in d2.arcs - {(v, a2), (a2, u)}}
+    return build_digraph(d1.n + d2.n - 1, arcs | {(t, emb2[u]), (emb2[v], w)})
+
+
+def _bidirected_k4():
+    """The bidirected join of two symmetric K4 at their vertex 0, where the
+    digons [1, 0] meet: vertices 0..3 and 0, 4, 5, 6, with the digon [1, 4]."""
+    return _bijoin(sym_complete(4), (1, 0, 1), sym_complete(4), (1, 0, 1))
+
+
+def _spliced(mid):
+    """`mid`, less its digon [0, 1], spliced by a parallel join into vertex 0
+    of `_bidirected_k4`: mid's 0 takes the arcs between 0 and 1, 2, 3, and
+    mid's 1 those between 0 and 4, 5, 6.  The host's other vertices follow
+    mid's labels in ascending order."""
+    emb = [-1] + [mid.n + i for i in range(6)]
+    kids = [(_bidirected_k4().arcs, emb), (mid.arcs, range(mid.n))]
+    return build_digraph(mid.n + 6, extremal._parallel_join(kids, 0, 1, range(4)))
+
+
 def test_lambda_examples():
     for n in (3, 5, 8):
         assert lambda_profile(dicycle(n)).value == 1
@@ -61,7 +93,7 @@ def test_lambda_menger_consistency():
     for _ in range(25):
         d = helpers.random_digraph(rng, 6, 0.35)
         for u, v in _pairs(d.n):
-            val, x = local_lambda(d, u, v)
+            val, x = _local_lambda(d, u, v)
             crossing = sum(1 for a, b in d.arcs if a in x and b not in x)
             assert crossing == val
             assert val == helpers.brute_lambda(d, u, v)
@@ -90,23 +122,16 @@ def test_join_soundness_lambda():
 
 def test_bijoin_examples():
     k4 = sym_complete(4)
-    bid = hajos_bijoin(k4, (0, 1, 0), k4, (0, 1, 0))
-    assert bid.bidirected and not bid.degenerate
-    assert recognize_k_extremal(bid.digraph, 3).extremal
-    gen = hajos_bijoin(k4, (0, 1, 2), k4, (0, 1, 2))
-    assert not gen.bidirected and not gen.degenerate
-    assert exact_dichromatic(gen.digraph).value == 3
-    assert not recognize_k_extremal(gen.digraph, 3).extremal
-    # same-component precondition: a dipath split by the middle vertex
-    path = build_digraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(PreconditionViolated):
-        hajos_bijoin(path, (0, 1, 2), k4, (0, 1, 0))
+    bid = _bijoin(k4, (0, 1, 0), k4, (0, 1, 0))
+    assert recognize_k_extremal(bid, 3).extremal
+    gen = _bijoin(k4, (0, 1, 2), k4, (0, 1, 2))
+    assert exact_dichromatic(gen).value == 3
+    assert not recognize_k_extremal(gen, 3).extremal
 
 
 def test_tree_join_path_is_bidirected_join():
     # a two-edge path tree with the leaf digon equals the bidirected join
-    k4 = sym_complete(4)
-    bid = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
+    bid = _bidirected_k4()
     # tree vertices: 1 (leaf), 0 (centre), 4 (leaf); parts on global labels
     part1 = k4_arcs([1, 0, 2, 3])
     part2 = k4_arcs([0, 4, 5, 6])
@@ -172,23 +197,16 @@ def test_parallel_join_roundtrip():
 
 
 def test_parallel_join_forward_matches_recognizer_children():
-    # host: bidirected join of two complete parts carries the crossing arcs
-    k4 = sym_complete(4)
-    host = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
-    # crossing arcs are 1->4 and 4->1; splice a digon part into vertex 0
-    mid = sym_complete(4)
-    out = parallel_hajos_join(
-        host, 0, 1, 4, 4, 1, {0, 1, 2, 3}, mid, 0, 1
-    )
-    assert out.n == host.n - 1 + mid.n
-    assert recognize_k_extremal(out, 3).extremal
-    # violating the crossing-arc condition is rejected
-    with pytest.raises(PreconditionViolated):
-        parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2}, mid, 0, 1)
-    # so is an A side with a label that is not a host vertex
-    for stray in (99, -5):
-        with pytest.raises(PreconditionViolated):
-            parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3, stray}, mid, 0, 1)
+    # the host carries the crossing arcs 1->4 and 4->1; the parallel join
+    # rule, replayed on the children the split finder cuts, gives it back
+    out = _spliced(sym_complete(5))
+    kind, witness, children = extremal._find_parallel_split(out)
+    assert kind == extremal.JOIN_PARALLEL
+    kids = [(child.arcs, emb) for child, emb in children]
+    assert extremal._parallel_join(kids, witness["a"], witness["b"],
+                                   witness["a_side_child"]) == out.arcs
+    assert not recognize_k_extremal(out, 3).extremal
+    assert recognize_k_extremal(_spliced(sym_complete(4)), 3).extremal
 
 
 def test_recognizer_bases_and_refusals():
@@ -228,17 +246,16 @@ def test_recognizer_star_join():
 def _pinned_certificate_inputs():
     """(digraph, k, root kind, sha256 of the sorted-key JSON certificate):
     one recognized digraph per certificate kind, built by the public
-    constructors.  The parallel join's host is a bidirected join and its
-    A/C child is a star join."""
+    constructors and join rules.  The parallel join's host is a bidirected
+    join and its A/C child is a star join."""
     k4 = sym_complete(4)
-    host = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
     star_parts = [k4_arcs([0, 1, 4, 5]), k4_arcs([0, 2, 6, 7]), k4_arcs([0, 3, 8, 9])]
     wheel = [(i, j) for i in range(1, 6) for j in (0, 1 + i % 5, 1 + (i + 3) % 5)]
     wheel += [(0, i) for i in range(1, 6)]
     return [
         (directed_hajos_join(k4, (0, 1), k4, (2, 3)), 3, "DirectedHajosJoin",
          "8998af34bb6c6120dc92c66043edea6ce0be37d4ba7bb7c94220d0816b23d0b8"),
-        (parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3}, k4, 0, 1), 3,
+        (_spliced(k4), 3,
          "ParallelHajosJoin",
          "67f1bddd713a543bf6383b403d69e3bb4a827f91607752b2c395b73ff3dc9b22"),
         (hajos_star_join(10, 0, [1, 2, 3], star_parts), 3, "HajosStarJoin",
@@ -544,40 +561,14 @@ def test_recognizer_searches_each_vertex_once_per_node(monkeypatch):
 
 
 def test_check_extremal_necessary():
-    rep = check_extremal_necessary(sym_complete(4), 3)
-    assert rep.all_pass and rep.lambda_value == 3
+    # the conditions every recognizer node checks before it looks for a split
+    assert recognize_k_extremal(sym_complete(4), 3).extremal
     pendant = build_digraph(5, list(dicycle(3).arcs) + [(2, 3), (3, 2), (3, 4), (4, 3)])
-    assert not check_extremal_necessary(pendant, 2).biconnected
+    assert recognize_k_extremal(pendant, 3).reason == "not biconnected"
     unbalanced = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-    assert not check_extremal_necessary(unbalanced, 1).eulerian
-
-
-def test_induced_cycle_hypergraph():
-    h5 = induced_cycle_hypergraph(dicycle(5))
-    assert h5.hyperedges == (frozenset(range(5)),)
-    hk4 = induced_cycle_hypergraph(sym_complete(4))
-    assert all(len(e) == 2 for e in hk4.hyperedges)
-    assert len(hk4.hyperedges) == 6 and hk4.pairwise_ok
-    # two induced triangles sharing two vertices violate the property
-    shared = build_digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)])
-    hs = induced_cycle_hypergraph(shared)
-    assert not hs.pairwise_ok and hs.max_intersection == 2
-
-
-def test_induced_cycle_brute_check():
-    rng = random.Random(4)
-    for _ in range(30):
-        d = helpers.random_digraph(rng, 6, 0.3)
-        got = set(induced_cycle_hypergraph(d).hyperedges)
-        want = set()
-        for size in range(2, d.n + 1):
-            for comb in itertools.combinations(range(d.n), size):
-                sub, labels = d.induced(comb)
-                if len(sub.arcs) == size and sub.is_strong and all(
-                    sub.d_plus(v) == 1 and sub.d_minus(v) == 1 for v in range(size)
-                ):
-                    want.add(frozenset(comb))
-        assert got == want
+    assert recognize_k_extremal(unbalanced, 3).reason == "not eulerian"
+    two_cycles = build_digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)])
+    assert recognize_k_extremal(two_cycles, 3).reason == "not strong"
 
 
 def test_generalized_wheels():
@@ -609,11 +600,12 @@ def test_extended_tree_join_with_internal_vertex():
 
 
 def test_accepted_inputs_pass_necessary_checks():
+    # eulerian, strong, biconnected, and lambda(u, v) = k on every pair
     k4 = sym_complete(4)
     joins = [
         k4,
         directed_hajos_join(k4, (0, 1), k4, (2, 3)),
-        hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph,
+        _bidirected_k4(),
         hajos_star_join(
             10,
             0,
@@ -623,14 +615,14 @@ def test_accepted_inputs_pass_necessary_checks():
     ]
     for d in joins:
         assert recognize_k_extremal(d, 3).extremal
-        assert check_extremal_necessary(d, 3).all_pass
+        assert all(d.d_plus(v) == d.d_minus(v) for v in range(d.n))
+        assert d.is_strong and d.is_biconnected
+        assert {_local_lambda(d, u, v)[0] for u, v in _pairs(d.n)} == {3}
 
 
 def test_join_soundness_other_kinds():
     # constructions never increase the arc-connectivity bound of the parts
-    k4 = sym_complete(4)
-    bid = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
-    assert lambda_profile(bid).value <= 3
+    assert lambda_profile(_bidirected_k4()).value <= 3
     star = hajos_star_join(
         10,
         0,
@@ -690,7 +682,7 @@ def test_lambda_values_and_least_cuts_match_networkx_flows():
         d = helpers.random_digraph(rng, n, rng.choice([0.2, 0.4, 0.7]))
         net = _unit_network(d)
         for u, v in _pairs(n):
-            val, least = local_lambda(d, u, v)
+            val, least = _local_lambda(d, u, v)
             value, flow = nx.maximum_flow(net, u, v)
             assert val == value == nx.maximum_flow_value(net, u, v)
             # the least minimum dicut: what the residual digraph reaches from u
@@ -748,7 +740,7 @@ def test_eulerian_lambda_is_half_the_gomory_hu_cut():
         for u, v in _pairs(d.n):
             path = nx.shortest_path(tree, u, v)
             cut = min(tree[a][b]["weight"] for a, b in zip(path, path[1:]))
-            assert 2 * local_lambda(d, u, v)[0] == cut
+            assert 2 * _local_lambda(d, u, v)[0] == cut
 
 
 def _flow_spy(monkeypatch) -> list:
@@ -773,11 +765,6 @@ def test_lambda_profile_flow_counts(monkeypatch):
     assert len(calls) == 9 and prof.value == 3
     # the argmax's cut comes from its search flow
     assert sum(1 for p, q in chain.arcs if p in prof.side and q not in prof.side) == 3
-    # the necessary check adds a flow for each cyclic pair (v, v + 1)
-    calls.clear()
-    assert check_extremal_necessary(chain, 3).lambda_all_k
-    cyclic = [(v, (v + 1) % chain.n) for v in range(chain.n)]
-    assert len(calls) == 9 + chain.n and calls[9:] == cyclic
 
     rng = random.Random(71)
     d = helpers.random_digraph(rng, 14, 0.35)
@@ -864,9 +851,8 @@ def test_lambda_search_matches_the_networkx_lexicographic_maximum():
         value, pair, side, least = _lex_max_lambda(d)
         prof = lambda_profile(d)
         assert (prof.value, prof.pair, prof.side) == (value, pair, side)
-        cyclic = [local_lambda(d, v, (v + 1) % d.n)[0] for v in range(d.n)]
+        cyclic = [_local_lambda(d, v, (v + 1) % d.n)[0] for v in range(d.n)]
         assert min(cyclic) == least  # Schnorr 1979
-        assert check_extremal_necessary(d, value).lambda_all_k == (least == value > 0)
         # the search's flow, as value arc-disjoint dipaths of d
         used = [arc for path in prof.paths for arc in zip(path, path[1:])]
         assert len(prof.paths) == value
@@ -889,7 +875,7 @@ def test_non_eulerian_lambda_matches_networkx_flows():
         ):
             continue
         net = _unit_network(d)
-        values = {(u, v): local_lambda(d, u, v)[0] for u, v in _pairs(n)}
+        values = {(u, v): _local_lambda(d, u, v)[0] for u, v in _pairs(n)}
         for (u, v), val in values.items():
             assert val == nx.maximum_flow_value(net, u, v)
         assert lambda_profile(d).value == max(values.values())
@@ -907,7 +893,7 @@ def test_pivot_lambda_matches_networkx_flows_at_every_density():
             continue
         net = _unit_network(d)
         for u, v in _pairs(n):
-            assert local_lambda(d, u, v)[0] == nx.maximum_flow_value(net, u, v)
+            assert _local_lambda(d, u, v)[0] == nx.maximum_flow_value(net, u, v)
         done += 1
     assert done >= 40
 
@@ -915,14 +901,8 @@ def test_pivot_lambda_matches_networkx_flows_at_every_density():
 def test_lambda_cuts_cover_every_ordered_pair():
     d = helpers.random_digraph(random.Random(74), 6, 0.5)
     for u, v in _pairs(6):
-        val, side = local_lambda(d, u, v)
+        val, side = _local_lambda(d, u, v)
         assert u in side and v not in side and val == helpers.brute_lambda(d, u, v)
-    # a loop, vertices out of range, and endpoints that are not vertices
-    for bad in [(2, 2), (0, 6), (-1, 3), (0, (1, 2)), ("0", "1")]:
-        with pytest.raises(InvalidInput):
-            local_lambda(d, *bad)
-    with pytest.raises(InvalidInput):
-        local_lambda(build_digraph(1, []), 0, 0)
 
 
 def _dicycle_union(rng, n: int, count: int):
@@ -958,25 +938,19 @@ def _star(rng):
     return _relabelled(rng, d.n, d.arcs)
 
 
-def _bijoin(rng, pool):
+def _random_bijoin(rng, pool):
     d1, d2 = rng.choice(pool), rng.choice(pool)
     t, a1 = rng.choice(sorted(d1.arcs))
     w = rng.choice(bits(d1.out_masks[a1]))
     v, a2 = rng.choice(sorted(d2.arcs))
     u = rng.choice(bits(d2.out_masks[a2]))
-    try:
-        j = hajos_bijoin(d1, (t, a1, w), d2, (v, a2, u)).digraph
-    except PreconditionViolated:
-        return None
-    return _relabelled(rng, j.n, j.arcs)
+    j = _bijoin(d1, (t, a1, w), d2, (v, a2, u))
+    return None if j is None else _relabelled(rng, j.n, j.arcs)
 
 
 def _parallel(rng):
-    k4 = sym_complete(4)
-    host = hajos_bijoin(k4, (1, 0, 1), k4, (1, 0, 1)).digraph
     arcs, _ = _part(rng, 0, 1, 2)
-    mid = build_digraph(1 + max(max(a) for a in arcs), arcs)
-    j = parallel_hajos_join(host, 0, 1, 4, 4, 1, {0, 1, 2, 3}, mid, 0, 1)
+    j = _spliced(build_digraph(1 + max(max(a) for a in arcs), arcs))
     return _relabelled(rng, j.n, j.arcs)
 
 
@@ -998,7 +972,7 @@ def _finder_inputs(rng):
             )
             d = _relabelled(rng, j.n, j.arcs)
         elif kind == 3:
-            d = _bijoin(rng, pool)
+            d = _random_bijoin(rng, pool)
         elif kind == 4:
             d = _star(rng)
         elif kind == 5:
@@ -1009,7 +983,7 @@ def _finder_inputs(rng):
             d = _k4_chain(rng, rng.randrange(2, 5))
         else:  # a join of joins
             d1, d2 = rng.choice(pool), rng.choice(pool)
-            d = _bijoin(rng, [d1, d2]) if rng.random() < 0.5 else None
+            d = _random_bijoin(rng, [d1, d2]) if rng.random() < 0.5 else None
         if d is not None:
             if d.n <= 9 and d.is_strong:
                 pool.append(d)
