@@ -49,7 +49,6 @@ KINDS = (
     "cli branch",  # the command and an input that reaches it
     "acceptance criterion",  # of tests/test_acceptance.py
     "script",  # one of scripts/
-    "paper result without a command",
 )
 
 # "module.qualified.name" -> why the corpora at seed 1 never enter it
@@ -74,13 +73,6 @@ ALLOWED = {
     "defective.shannon_block_order": "acceptance criterion 08, through colour_shannon_multigraph",
     "defective.DefectiveGadget.extend": "acceptance criterion 11",
     "extremal.check_2_extremal": "script wheel_search.py",
-    "defective.extract_factor": "paper result without a command: factor extraction",
-    "defective.FactorWitness.verify": "paper result without a command: factor extraction",
-    "localstruct.min_outdegree_witness": "paper result without a command: the low out-degree vertex",
-    "localstruct.OutDegreeWitness.verdict": "paper result without a command: the low out-degree vertex",
-    "localstruct.shortest_dicycle_length": "paper result without a command: the low out-degree witnesses",
-    "localstruct.weighted_out_round_witness": "paper result without a command: the weighted out-round vertex",
-    "localstruct.WeightedWitness.verdict": "paper result without a command: the weighted out-round vertex",
 }
 
 

@@ -72,7 +72,6 @@ _HOMES = {
         "colour_shannon_multigraph",
         "defective_colour",
         "exact_defective_index",
-        "extract_factor",
         "gamma_d",
         "np_gadget_defective",
         "verify_edge_colouring",
@@ -108,10 +107,8 @@ _HOMES = {
         "find_2king",
         "hub_decomposition",
         "inround_order",
-        "min_outdegree_witness",
         "semicomplete_structure",
         "two_dicolour_lot",
-        "weighted_out_round_witness",
     ),
 }
 # each re-exported name -> the module that defines it

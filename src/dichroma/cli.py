@@ -283,17 +283,20 @@ def _round(ns, d) -> tuple[dict, int]:
     return rep, 0
 
 
+def _strong_partition(d: Digraph, parts: list[list[int]]) -> bool:
+    """Do the vertex lists partition d's vertices into strong parts?"""
+    return (sorted(v for p in parts for v in p) == list(range(d.n))
+            and all(p and d.induced(p)[0].is_strong for p in parts))
+
+
 def _hubs(ns, d) -> tuple[dict, int]:
     hp = loc_mod.hub_decomposition(d)
     parts = [sorted(p) for p in hp.parts]
-    _self_check(sorted(v for p in parts for v in p) == list(range(d.n))
-                and all(p and d.induced(p)[0].is_strong for p in parts),
-                "the hubs are strong parts of a partition")
+    _self_check(_strong_partition(d, parts), "the hubs are strong parts of a partition")
     quotient = contract(d, partition(d.n, parts))
     _self_check(hp.quotient == quotient, "the quotient is the contraction")
     order = hp.order.order
-    _self_check(sorted(order) == list(range(quotient.n))
-                and loc_mod.satisfies_in_round(quotient, order), "in-round order")
+    _self_check(loc_mod.satisfies_in_round(quotient, order), "in-round order")
     return (
         {
             "hubs": parts,
@@ -321,18 +324,32 @@ def _dicolour2(ns, d) -> tuple[dict, int]:
 def _structure(ns, d) -> tuple[dict, int]:
     st = loc_mod.semicomplete_structure(d)
     rep = {"case": st.case}
+    a = d.arcs
     if st.case == "UniversalVertex":
-        rep["vertex"] = st.universal_vertex
+        u = st.universal_vertex
+        _self_check(u in range(d.n)
+                    and all((u, v) in a and (v, u) in a for v in range(d.n) if v != u),
+                    "a vertex joined both ways to every other")
+        rep["vertex"] = u
     elif st.case == "RoundBlowup":
-        rep["parts"] = [sorted(p) for p in st.parts]
-        rep["order"] = list(st.order.order)
+        parts = [sorted(p) for p in st.parts]
+        _self_check(_strong_partition(d, parts), "the parts are strong parts of a partition")
+        order = list(st.order.order)
+        _self_check(loc_mod.satisfies_round(contract(d, partition(d.n, parts)), order),
+                    "round order of the contraction")
+        rep["parts"] = parts
+        rep["order"] = order
     else:
-        rep["sets"] = {
-            "e": sorted(st.e),
-            "f": sorted(st.f),
-            "g": sorted(st.g),
-            "h": sorted(st.h),
-        }
+        e, f, g, h = sets = [sorted(s) for s in (st.e, st.f, st.g, st.h)]
+        _self_check(sorted(e + f + g + h) == list(range(d.n)) and e and g and (f or h)
+                    and all((x, y) in a or (y, x) in a for s in sets for x in s for y in s if x < y)
+                    and all((x, y) in a and (y, x) not in a for x in e for y in f)
+                    and all((x, y) in a for x in f for y in g)
+                    and all((x, y) in a for x in g for y in h)
+                    and all((x, y) in a and (y, x) not in a for x in h for y in e)
+                    and all(any((x, y) in a for y in e) and any((y, x) in a for y in e) for x in g),
+                    "four semicomplete sets that dominate in turn")
+        rep["sets"] = dict(zip("efgh", sets))
         rep["notes"] = list(st.notes)
     return rep, 0
 

@@ -1,7 +1,8 @@
 """Defective edge colouring of multigraphs: verification, the density
 lower bound, the exact index, the constructive block colouring of the
-three-vertex extremal multigraphs, Euler splitting, factor extraction, the
-general constructive colouring ladder, and the hardness gadget.
+three-vertex extremal multigraphs, Euler splitting, the general
+constructive colouring ladder with its factors found by matching, and the
+hardness gadget.
 
 A colouring is valid at defect d when every vertex has at most d incident
 edges per colour.  Colourings are stored positionally, one colour per edge
@@ -28,7 +29,6 @@ from .errors import (
     FallbackToExact,
     InvalidInput,
     NotRegular,
-    OddK,
     PartialColouring,
 )
 from .matching import max_matching
@@ -208,19 +208,6 @@ def colour_shannon_multigraph(k: int, d: int) -> tuple[Multigraph, EdgeColouring
 # factors
 
 
-class FactorWitness(NamedTuple):
-    edge_indices: tuple[int, ...]
-    k: int
-
-    def verify(self, g: Multigraph) -> bool:
-        deg = [0] * g.n
-        for i in self.edge_indices:
-            u, v = g.edges[i]
-            deg[u] += 1
-            deg[v] += 1
-        return all(x == self.k for x in deg)
-
-
 def _factor(g: Multigraph, targets: Sequence[int]) -> list[int] | None:
     """Spanning submultigraph with prescribed degrees, as edge indices, or
     None when g has none.
@@ -249,16 +236,6 @@ def _factor(g: Multigraph, targets: Sequence[int]) -> list[int] | None:
     if -1 in match:
         return None
     return [i for i in range(g.m()) if match[2 * i] == 2 * i + 1]
-
-
-def extract_factor(g: Multigraph, k: int) -> FactorWitness | None:
-    """A spanning k-regular submultigraph for even k, or certified absence."""
-    if k % 2 != 0 or k < 0:
-        raise OddK("factor degree must be even and non-negative")
-    res = _factor(g, [k] * g.n)
-    if res is None:
-        return None
-    return FactorWitness(tuple(res), k)
 
 
 # ---------------------------------------------------------------------------

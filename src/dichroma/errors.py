@@ -108,10 +108,6 @@ class EvenD(DichromaError):
     """The defect parameter must be odd here."""
 
 
-class OddK(DichromaError):
-    """The factor degree must be even here."""
-
-
 class BadParameters(DichromaError):
     """Parameters outside the supported range of a gadget."""
 

@@ -238,7 +238,6 @@ def hajos_tree_join(
     tree_edges: Sequence[tuple[int, int]],
     parts: Sequence[Iterable[Arc]],
     order: Sequence[int],
-    extended: bool = False,
     check_embedding: bool = True,
 ) -> Digraph:
     """Glue digon-carrying parts along a tree and add a peripheral dicycle.
@@ -247,8 +246,7 @@ def hajos_tree_join(
     shares only its two tree vertices with the tree, and must contain the
     digon [u_i, v_i]; those digons are removed and the dicycle
     order[0] -> order[1] -> ... -> order[0] is added.  `order` lists the
-    leaves (each exactly once) following a plane embedding of the tree;
-    with `extended` it may also visit internal vertices, each at most once.
+    leaves (each exactly once) following a plane embedding of the tree.
 
     The embedding test checks that the junction-to-junction tree paths
     between consecutive entries are pairwise arc-disjoint in the doubled
@@ -264,14 +262,8 @@ def hajos_tree_join(
     order = list(order)
     if len(set(order)) != len(order):
         raise BadEmbeddingOrder("repeated vertex in the peripheral order")
-    if not extended:
-        if set(order) != leaves:
-            raise BadEmbeddingOrder("order must list exactly the leaves")
-    else:
-        if not leaves <= set(order):
-            raise BadEmbeddingOrder("order must contain every leaf")
-        if not set(order) <= tree_vs:
-            raise BadEmbeddingOrder("order contains a non-tree vertex")
+    if set(order) != leaves:
+        raise BadEmbeddingOrder("order must list exactly the leaves")
     if check_embedding:
         used: set[tuple[int, int]] = set()
         for i, xv in enumerate(order):
@@ -307,11 +299,10 @@ def hajos_star_join(
     centre: int,
     rim: Sequence[int],
     parts: Sequence[Iterable[Arc]],
-    check_embedding: bool = True,
 ) -> Digraph:
     """Tree join over a star: part i carries the digon [centre, rim[i]]."""
     edges = [(centre, r) for r in rim]
-    return hajos_tree_join(n, edges, parts, list(rim), check_embedding=check_embedding)
+    return hajos_tree_join(n, edges, parts, list(rim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Locally semicomplete machinery: cyclic orders, hub decomposition,
 2-dicolouring of locally out-transitive oriented graphs, the three-case
-structure of locally semicomplete digraphs, 2-kings, and the low-outdegree
-witness for short-cycle-free locally in-tournament oriented graphs.
+structure of locally semicomplete digraphs, and 2-kings.
 
 A cyclic order is a vertex permutation up to rotation, canonicalized to
 start at vertex 0.  "In-round" means every in-neighbourhood is the
@@ -16,7 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .colouring import Dicolouring, find_cycle_in
 from .core import (
     Digraph,
-    bfs,
     bits,
     contract,
     mask_of,
@@ -50,33 +48,16 @@ def _is_transitive_tournament(d: Digraph, s: int) -> bool:
 
 
 class LocalClassFlags(NamedTuple):
-    locally_out_semicomplete: bool
     locally_out_transitive: bool
-    locally_in_tournament: bool
     locally_semicomplete: bool
     in_round_condition: bool
     round_condition: bool
-    witnesses: dict
 
 
 def check_local_class(d: Digraph) -> LocalClassFlags:
-    """Per-vertex neighbourhood checks with the first failing vertex as
-    witness per flag."""
-    flags = {
-        "locally_out_semicomplete": True,
-        "locally_out_transitive": True,
-        "locally_in_tournament": True,
-        "locally_semicomplete": True,
-        "in_round_condition": True,
-        "round_condition": True,
-    }
-    wit: dict = {}
-
-    def fail(key: str, v: int):
-        if flags[key]:
-            flags[key] = False
-            wit[key] = v
-
+    """Per-vertex neighbourhood checks; a flag holds when every vertex
+    passes its check."""
+    trans_all = semi_all = in_round_all = round_all = True
     for v in range(d.n):
         outs = d.out_masks[v]
         ins = d.in_masks[v]
@@ -88,20 +69,11 @@ def check_local_class(d: Digraph) -> LocalClassFlags:
         tour_in = semi_in and _digon_free(d, ins)
         trans_out = tour_out and find_cycle_in(d.out_masks, outs) is None
         in_round = tour_out and find_cycle_in(d.out_masks, ins) is None
-        if not semi_out:
-            fail("locally_out_semicomplete", v)
-            fail("locally_semicomplete", v)
-        if not semi_in:
-            fail("locally_semicomplete", v)
-        if not trans_out:
-            fail("locally_out_transitive", v)
-        if not tour_in:
-            fail("locally_in_tournament", v)
-        if not in_round:
-            fail("in_round_condition", v)
-        if not (trans_out and tour_in and in_round):
-            fail("round_condition", v)
-    return LocalClassFlags(**flags, witnesses=wit)
+        trans_all &= trans_out
+        semi_all &= semi_out and semi_in
+        in_round_all &= in_round
+        round_all &= trans_out and tour_in and in_round
+    return LocalClassFlags(trans_all, semi_all, in_round_all, round_all)
 
 
 class CyclicOrder(NamedTuple):
@@ -122,9 +94,12 @@ class CyclicOrder(NamedTuple):
 
 
 def satisfies_in_round(d: Digraph, order: Sequence[int]) -> bool:
-    """For every arc x->y, every z strictly between x and y also sees y."""
-    pos = {v: i for i, v in enumerate(order)}
+    """`order` is a permutation of the vertices, and for every arc x->y,
+    every z strictly between x and y also sees y."""
     n = len(order)
+    if sorted(order) != list(range(d.n)):
+        return False
+    pos = {v: i for i, v in enumerate(order)}
     for x, y in d.arcs:
         i = (pos[x] + 1) % n
         while i != pos[y]:
@@ -478,90 +453,3 @@ def find_2king(d: Digraph) -> int | None:
         if reach == full:
             return v
     return None
-
-
-# ---------------------------------------------------------------------------
-# low out-degree in short-cycle-free locally in-tournament graphs
-
-
-def shortest_dicycle_length(d: Digraph) -> int | None:
-    """Length of a shortest directed cycle, or None when acyclic: the least
-    1 + dist(s, u) over the arcs u->s."""
-    lengths = []
-    for s in range(d.n):
-        queue, parent = bfs(d.out_masks, (1 << d.n) - 1, s)
-        dist = {s: 0}
-        for v in queue[1:]:
-            dist[v] = dist[parent[v]] + 1
-        lengths += [dist[u] + 1 for u in bits(d.in_masks[s]) if u in dist]
-    return min(lengths, default=None)
-
-
-class OutDegreeWitness(NamedTuple):
-    vertex: int
-    out_degree: int
-    bound: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.out_degree < self.bound
-
-
-def min_outdegree_witness(d: Digraph, k: int) -> OutDegreeWitness:
-    """The minimum-out-degree vertex of a locally in-tournament oriented
-    graph with no directed cycle of length at most k; its out-degree is
-    always below n/k."""
-    if k < 2:
-        raise PreconditionViolated("k must be at least 2")
-    if d.n == 0:
-        raise PreconditionViolated("empty digraph")
-    if not d.is_oriented:
-        raise PreconditionViolated("digons present")
-    flags = check_local_class(d)
-    if not flags.locally_in_tournament:
-        raise PreconditionViolated("not locally in-tournament")
-    g = shortest_dicycle_length(d)
-    if g is not None and g <= k:
-        raise PreconditionViolated(f"directed cycle of length {g} <= {k}")
-    v = min(range(d.n), key=lambda x: (d.d_plus(x), x))
-    return OutDegreeWitness(v, d.d_plus(v), d.n / k)
-
-
-class WeightedWitness(NamedTuple):
-    vertex: int
-    weighted_out: float
-    bound: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.weighted_out < self.bound
-
-
-def weighted_out_round_witness(
-    d: Digraph, weights: Sequence[float], k: int
-) -> WeightedWitness:
-    """For a strong out-round oriented graph with no directed cycle of
-    length at most k and positive vertex weights: some vertex u has
-    weighted out-neighbourhood below (W - w(u)) / k."""
-    if d.n == 0:
-        raise PreconditionViolated("empty digraph")
-    if len(weights) != d.n or any(w <= 0 for w in weights):
-        raise PreconditionViolated("weights must be positive, one per vertex")
-    rev = d.reverse()
-    res = inround_order(rev)
-    if not res.ok:
-        raise PreconditionViolated("not a strong out-round oriented graph")
-    g = shortest_dicycle_length(d)
-    if g is not None and g <= k:
-        raise PreconditionViolated(f"directed cycle of length {g} <= {k}")
-    total = sum(weights)
-    best: WeightedWitness | None = None
-    for u in range(d.n):
-        lhs = sum(weights[v] for v in bits(d.out_masks[u]))
-        bound = (total - weights[u]) / k
-        cand = WeightedWitness(u, lhs, bound)
-        if cand.verdict:
-            return cand
-        if best is None or lhs - bound < best.weighted_out - best.bound:
-            best = cand
-    return best  # no witness: the caller sees verdict False

@@ -597,16 +597,3 @@ def random_lot_instance(rng, max_quotient: int = 7) -> Digraph:
             for t in entries[h]:
                 arcs.add((u, t))
     return DG(offset, frozenset(arcs))
-
-
-def random_out_round_girth(rng, n: int, min_girth: int, tries: int = 200) -> Digraph:
-    """Strong out-round oriented graph with no dicycle shorter than
-    min_girth (rejection sampling on the interval construction)."""
-    from dichroma.localstruct import shortest_dicycle_length
-
-    for _ in range(tries):
-        d = random_in_round(rng, n).reverse()
-        g = shortest_dicycle_length(d)
-        if g is not None and g >= min_girth:
-            return d
-    raise RuntimeError("no instance found")

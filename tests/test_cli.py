@@ -16,7 +16,7 @@ from dichroma.core import Digraph
 from dichroma.errors import FileSemanticError, FileSyntaxError
 from dichroma.families import dicycle, shannon_multigraph
 from dichroma.heroes import PATTERNS
-from dichroma.localstruct import CyclicOrder
+from dichroma.localstruct import CyclicOrder, InRoundResult
 
 import helpers
 from helpers import sym_complete
@@ -372,9 +372,60 @@ def test_hubs_rechecks_its_decomposition(files, capsys, monkeypatch, corrupt, cl
     assert code == 2 and err == {"type": "SelfCheckFailed", "message": f"re-check failed: {claim}"}
 
 
+def test_round_rechecks_a_short_order(files, capsys, monkeypatch):
+    from dichroma import localstruct
+
+    monkeypatch.setattr(localstruct, "inround_order",
+                        lambda d: InRoundResult(order=CyclicOrder((0, 1))))
+    code = main(["round", files["c3"]])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {"type": "SelfCheckFailed",
+                                 "message": "re-check failed: in-round order"}
+
+
+UNIVERSAL = "digraph 3\n0 1\n1 0\n0 2\n2 0\n1 2\n"  # 0 is the universal vertex
+C3 = "digraph 3\n0 1\n1 2\n2 0\n"  # one round blow-up part per vertex
+MIXED = "digraph 3\n0 1\n1 0\n1 2\n2 0\n"  # e, f, g, h = {0}, {}, {1}, {2}
+
+
+@pytest.mark.parametrize(
+    "text, case, corrupt, claim",
+    [
+        (UNIVERSAL, "UniversalVertex", lambda st: st._replace(universal_vertex=1),
+         "a vertex joined both ways to every other"),
+        (UNIVERSAL, "UniversalVertex", lambda st: st._replace(universal_vertex=3),
+         "a vertex joined both ways to every other"),
+        (C3, "RoundBlowup",
+         lambda st: st._replace(parts=(frozenset({0, 1}), frozenset({2}))),  # 0->1 alone
+         "the parts are strong parts of a partition"),
+        (C3, "RoundBlowup",
+         lambda st: st._replace(order=CyclicOrder((0, 2, 1))), "round order of the contraction"),
+        (C3, "RoundBlowup",
+         lambda st: st._replace(order=CyclicOrder((0, 1))), "round order of the contraction"),
+        (MIXED, "FourSetPartition", lambda st: st._replace(f=st.h, h=st.f),
+         "four semicomplete sets that dominate in turn"),
+        (MIXED, "FourSetPartition", lambda st: st._replace(g=frozenset()),
+         "four semicomplete sets that dominate in turn"),
+    ],
+    ids=["universal-not-joined", "universal-range", "blowup-part-not-strong", "blowup-order",
+         "blowup-order-short", "four-set-swapped", "four-set-missing"],
+)
+def test_structure_rechecks_its_case(tmp_path, capsys, monkeypatch, text, case, corrupt, claim):
+    from dichroma import localstruct
+
+    path = tmp_path / "d.dg"
+    path.write_text(text)
+    rep, code = run_command(["structure", str(path)])
+    assert code == 0 and rep["case"] == case
+    structure = localstruct.semicomplete_structure
+    monkeypatch.setattr(localstruct, "semicomplete_structure", lambda d: corrupt(structure(d)))
+    code = main(["structure", str(path)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err == {"type": "SelfCheckFailed", "message": f"re-check failed: {claim}"}
+
+
 # the commands whose handler emits its report without a `_self_check`, and why
 UNCHECKED = {
-    "structure": "its three cases are not re-checked yet",
     "gadget": "a construction, which makes no claim",
     "gen": "its --verify is the check",
 }

@@ -9,7 +9,6 @@ from dichroma.defective import (
     colour_shannon_multigraph,
     defective_colour,
     exact_defective_index,
-    extract_factor,
     gamma_d,
     np_gadget_defective,
     shannon_block_order,
@@ -18,7 +17,7 @@ from dichroma.defective import (
     _factor,
     _tower,
 )
-from dichroma.errors import BadParameters, EvenD, InvalidInput, OddK
+from dichroma.errors import BadParameters, EvenD, InvalidInput
 from dichroma.families import shannon_multigraph
 from dichroma.vizing import vizing_colour
 
@@ -99,14 +98,6 @@ def test_split_euler_examples():
     assert spare2 is not None and len(a2) == 1 and len(b2) == 1
     a3, b3, spare3 = _euler_halves(shannon_multigraph(4))
     assert spare3 is None and len(a3) == 3
-
-
-def test_extract_factor_examples():
-    assert extract_factor(complete_graph(5), 2).verify(complete_graph(5))
-    assert extract_factor(shannon_multigraph(6), 2).verify(shannon_multigraph(6))
-    assert extract_factor(complete_graph(4), 2).verify(complete_graph(4))
-    with pytest.raises(OddK):
-        extract_factor(complete_graph(4), 3)
 
 
 def brute_factor_exists(g, k):

@@ -587,16 +587,16 @@ def test_extended_tree_join_with_internal_vertex():
     # the peripheral dicycle may pass through an internal junction once
     part1 = k4_arcs([1, 0, 3, 4])
     part2 = k4_arcs([0, 2, 5, 6])
-    ext = hajos_tree_join(
-        7, [(1, 0), (0, 2)], [part1, part2], [1, 0, 2], extended=True
-    )
+    tree = [(1, 0), (0, 2)]
+    children = [(part1, range(7)), (part2, range(7))]
+    ext = build_digraph(7, extremal._tree_join(children, tree, [1, 0, 2]))
     assert (1, 0) in ext.arcs and (0, 2) in ext.arcs and (2, 1) in ext.arcs
     res = recognize_k_extremal(ext, 3)
     assert res.extremal
     assert res.certificate.replay_arcs() == ext.arcs
-    # internal vertices are rejected without the extended flag
+    # the constructor takes leaves only
     with pytest.raises(BadEmbeddingOrder):
-        hajos_tree_join(7, [(1, 0), (0, 2)], [part1, part2], [1, 0, 2])
+        hajos_tree_join(7, tree, [part1, part2], [1, 0, 2])
 
 
 def test_accepted_inputs_pass_necessary_checks():

@@ -72,7 +72,7 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
 
 def test_every_export_is_its_modules_object():
     homes = dichroma._HOMES
-    assert sum(len(names) for names in homes.values()) == len(dichroma.__all__) == 60
+    assert sum(len(names) for names in homes.values()) == len(dichroma.__all__) == 57
     for module, names in homes.items():
         for name in names:
             obj = getattr(dichroma, name)
