@@ -54,7 +54,6 @@ KINDS = (
 # "module.qualified.name" -> why the corpora at seed 1 never enter it
 ALLOWED = {
     "__init__._lazy": "import machinery: binds the command modules before the census starts",
-    "__init__.__getattr__": "import machinery: a name read from the package; the CLI reads its modules",
     "cli._find_offender": "malformed input: the line of a bad arc or edge row",
     "errors.FileSyntaxError.__init__": "malformed input: a graph file that does not parse",
     "errors.FileSemanticError.__init__": "malformed input: a graph file with a loop, repeat or bad index",

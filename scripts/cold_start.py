@@ -71,10 +71,10 @@ print(json.dumps({"code": code, "import_ms": (t1 - t0) * 1e3, "main_ms": (t2 - t
 """
 
 
-def one_run(src: str, argv: list[str], env: dict) -> dict:
+def one_run(src: str, argv: list[str]) -> dict:
     """One fresh interpreter: its wall time and what the child reported."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CHILD, src, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, *argv],
                           capture_output=True, text=True, check=True)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {"wall_ms": wall_ms, **json.loads(proc.stdout)}
@@ -93,7 +93,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     pairs = [c.split("=", 1) for c in args.checkouts] or [["this", os.path.join(ROOT, "src")]]
     sources = {label: os.path.abspath(src) for label, src in pairs}
-    env = {k: v for k, v in os.environ.items() if k != "DICHROMA_BUDGET"}
     writes = not sys.flags.dont_write_bytecode
     cached = {label: pyc_files(src) for label, src in sources.items()}
 
@@ -108,7 +107,7 @@ def main(argv=None):
             for cmd, template in COMMANDS.items():
                 line = [arg.format(**files) for arg in template]
                 for label in order:
-                    samples[label][cmd].append(one_run(sources[label], line, env))
+                    samples[label][cmd].append(one_run(sources[label], line))
 
     def summary(runs):
         return {

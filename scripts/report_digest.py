@@ -51,7 +51,6 @@ def digests(workload: str, seed: int) -> list[tuple[str, str]]:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         ops = corpus.instantiate(workload, seed, tmp, tmp)
-        os.environ.pop("DICHROMA_BUDGET", None)
         os.chdir(tmp)  # the operations name their files relative to it
         try:
             for op in ops:

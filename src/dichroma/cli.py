@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -67,7 +66,7 @@ def _parse_rows(text: str):
             try:
                 n = int(toks[1])
             except ValueError:
-                raise FileSyntaxError("vertex count is not an integer", line_no, len(toks[0]) + 2)
+                raise FileSyntaxError("vertex count is not an integer", line_no)
             header = (toks[0], n, line_no)
             continue
         if len(toks) != 2:
@@ -538,12 +537,6 @@ def run_command(argv: list[str]) -> tuple[dict | None, int]:
         if exc.code == 0:  # argparse exits with 0 once it printed the help
             return None, 0
         raise UsageError("bad usage") from exc
-    if ns.budget is None:
-        env = os.environ.get("DICHROMA_BUDGET")
-        try:
-            ns.budget = int(env) if env else None
-        except ValueError:
-            raise UsageError(f"DICHROMA_BUDGET must be an integer, got {env!r}") from None
     t0 = time.monotonic()
     reads = ns.reads[ns.kind] if isinstance(ns.reads, dict) else ns.reads
     if reads is None:

@@ -558,61 +558,41 @@ def check_colour_range(colours: Iterable[int], k: int) -> None:
         raise InvalidInput(f"colour {bad} outside 1..{k}")
 
 
-class EulerResult(NamedTuple):
-    """Either a closed trail covering all edges, or a witness of absence."""
+def euler_tour(g: Multigraph) -> tuple[int, ...] | None:
+    """The edge indices of a closed trail using every edge exactly once
+    (Hierholzer), or None when there is none.
 
-    tour_vertices: tuple[int, ...] | None = None
-    tour_edges: tuple[int, ...] | None = None
-    odd_vertex: int | None = None
-    disconnected_pair: tuple[int, int] | None = None
-
-    @property
-    def exists(self) -> bool:
-        return self.tour_edges is not None
-
-
-def euler_tour(g: Multigraph) -> EulerResult:
-    """Closed trail using every edge exactly once (Hierholzer), or why not.
-
-    Exists iff all degrees are even and the non-isolated vertices are
+    One exists iff all degrees are even and the non-isolated vertices are
     connected.  The tour starts at the least non-isolated vertex.
     """
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            return EulerResult(odd_vertex=v)
+    if any(g.degree(v) % 2 for v in range(g.n)):
+        return None
     active = [v for v in range(g.n) if g.degree(v) > 0]
     if not active:
-        return EulerResult(tour_vertices=(), tour_edges=())
-    start = active[0]
-    reach = components(g.masks, mask_of(active))[0]
-    missing = next((v for v in active if not reach >> v & 1), None)
-    if missing is not None:
-        return EulerResult(disconnected_pair=(start, missing))
+        return ()
+    if len(components(g.masks, mask_of(active))) > 1:
+        return None
     used = [False] * g.m()
     ptr = [0] * g.n
-    path: list[tuple[int, int]] = []  # (vertex, edge used to get there)
-    circuit_v: list[int] = []
-    circuit_e: list[int] = []
-    stack2: list[tuple[int, int]] = [(start, -1)]
-    while stack2:
-        v, via = stack2[-1]
+    tour: list[int] = []
+    stack: list[tuple[int, int]] = [(active[0], -1)]  # (vertex, edge used to get there)
+    while stack:
+        v, via = stack[-1]
         moved = False
         while ptr[v] < len(g.adj[v]):
             w, ei = g.adj[v][ptr[v]]
             ptr[v] += 1
             if not used[ei]:
                 used[ei] = True
-                stack2.append((w, ei))
+                stack.append((w, ei))
                 moved = True
                 break
         if not moved:
-            stack2.pop()
-            circuit_v.append(v)
+            stack.pop()
             if via >= 0:
-                circuit_e.append(via)
-    circuit_v.reverse()
-    circuit_e.reverse()
-    return EulerResult(tour_vertices=tuple(circuit_v), tour_edges=tuple(circuit_e))
+                tour.append(via)
+    tour.reverse()
+    return tuple(tour)
 
 
 def bfs_order(d: Digraph, root: int) -> list[int]:

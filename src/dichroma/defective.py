@@ -245,10 +245,10 @@ def _factor(g: Multigraph, targets: Sequence[int]) -> list[int] | None:
 def _euler_halves(g: Multigraph):
     """The edges of an Euler tour of g, alternately in two halves, with the
     last edge spare when their number is odd."""
-    res = euler_tour(g)
-    if not res.exists:
+    tour = euler_tour(g)
+    if tour is None:
         raise NotRegular("no closed trail; degrees not even?")
-    seq = list(res.tour_edges)
+    seq = list(tour)
     spare = None
     if len(seq) % 2 == 1:
         spare = seq.pop()

@@ -72,10 +72,6 @@ class TooFewParts(DichromaError):
     """Circular composition needs at least three parts."""
 
 
-class BadVertex(DichromaError):
-    """A named vertex does not exist in the digraph."""
-
-
 class SizeCapExceeded(DichromaError):
     """A generator refused to build an object past its size cap."""
 
@@ -109,7 +105,7 @@ class EvenD(DichromaError):
 
 
 class BadParameters(DichromaError):
-    """Parameters outside the supported range of a gadget."""
+    """Parameters outside the supported range of a generator or gadget."""
 
 
 class FallbackToExact(DichromaError):
@@ -117,11 +113,10 @@ class FallbackToExact(DichromaError):
 
 
 class FileSyntaxError(DichromaError):
-    """A graph file that does not parse; carries line/column."""
+    """A graph file that does not parse; carries the line."""
 
-    def __init__(self, message: str, line: int, column: int = 0):
+    def __init__(self, message: str, line: int):
         self.line = line
-        self.column = column
         super().__init__(f"line {line}: {message}")
 
 
@@ -131,10 +126,6 @@ class FileSemanticError(DichromaError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-class UnknownName(DichromaError, AttributeError):
-    """An attribute the dichroma package does not export."""
 
 
 class UsageError(DichromaError):

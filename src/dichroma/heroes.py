@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .colouring import exact_dichromatic, find_cycle_in
 from .core import Budget, Digraph, bits, build_digraph, lexicographic, mask_of
-from .errors import BadVertex, BudgetExceeded, SizeCapExceeded, TooFewParts
+from .errors import BadParameters, BudgetExceeded, SizeCapExceeded, TooFewParts
 from .families import dicycle, transitive_tournament
 
 DEFAULT_CAP = 100_000
@@ -60,7 +60,7 @@ def gen_fk(ell: int, k: int) -> GeneratedDigraph:
     if ell < 3:
         raise TooFewParts("ell must be at least 3")
     if k < 1:
-        raise SizeCapExceeded("k must be positive")
+        raise BadParameters("k must be positive")
     size, arcs = 1, 0
     for _ in range(k - 1):
         # a layer holds ell - 1 copies of the last, plus the arcs between
@@ -86,7 +86,7 @@ def gen_ds(s: int) -> GeneratedDigraph:
     to the smaller).  Parts (equal middles) stay non-adjacent.
     """
     if s < 5:
-        raise SizeCapExceeded("s must be at least 5")
+        raise BadParameters("s must be at least 5")
     n = comb(s, 3)
     if n > DEFAULT_CAP:
         raise SizeCapExceeded(f"vertex count exceeds cap {DEFAULT_CAP}")
@@ -121,7 +121,7 @@ def gen_chordal_c122(k: int) -> GeneratedDigraph:
     copy of level k behind every arc u->v, dominated by v and dominating u.
     """
     if k < 1:
-        raise SizeCapExceeded("k must be positive")
+        raise BadParameters("k must be positive")
     sizes = [1]
     while len(sizes) < k:
         p = len(sizes) + 1
@@ -189,7 +189,7 @@ def gen_chordal_hero_free(k: int) -> GeneratedDigraph:
     Doubly exponential; refuses past the cap rather than sampling.
     """
     if k < 1:
-        raise SizeCapExceeded("k must be positive")
+        raise BadParameters("k must be positive")
     g = build_digraph(1, [])
     for level in range(2, k + 1):
         f = _rainbow_amplifier(g, level - 1)
@@ -326,7 +326,7 @@ def pattern(name: str) -> Digraph:
     try:
         return PATTERNS[name]()
     except KeyError:
-        raise BadVertex(f"unknown pattern {name!r}") from None
+        raise BadParameters(f"unknown pattern {name!r}") from None
 
 
 def verify_generated(gen: GeneratedDigraph, budget: int | None = None) -> dict:

@@ -19,7 +19,7 @@ from dichroma.core import (
     build_multigraph,
     lexicographic,
 )
-from dichroma.errors import BadParameters, BadVertex
+from dichroma.errors import BadParameters
 from dichroma.families import transitive_tournament
 
 
@@ -510,7 +510,7 @@ def substitute(g1: Digraph, u: int, h1: Digraph) -> Digraph:
     shift up; substituting a single vertex is the identity.
     """
     if not 0 <= u < g1.n:
-        raise BadVertex(f"vertex {u} not in the host")
+        raise BadParameters(f"vertex {u} not in the host")
     k1 = transitive_tournament(1)
     return lexicographic(g1, [k1] * u + [h1] + [k1] * (g1.n - u - 1))
 

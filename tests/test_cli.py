@@ -155,12 +155,6 @@ def test_main_json_and_exit(files, capsys):
     assert code3 == 2 and err3["error"]["type"] == "FileSemanticError"
 
 
-def test_budget_env(files, monkeypatch):
-    monkeypatch.setenv("DICHROMA_BUDGET", "1000000")
-    rep, code = run_command(["chi", files["k4"]])
-    assert code == 0 and rep["chi"] == 4
-
-
 @pytest.mark.parametrize("argv", [["gen", "ds", "--s", "60"], ["gen", "fk", "--l", "3", "--k", "16"]])
 def test_gen_refuses_too_many_arcs_before_building(argv, capsys):
     # 34,220 vertices and 573,588,796 arcs; 65,535 vertices and 2,147,385,345 arcs
@@ -492,7 +486,6 @@ def test_unset_budget_keeps_library_default(files, monkeypatch, module, callee, 
         return original(*args, budget=budget)
 
     monkeypatch.setattr(mod, callee, spy)
-    monkeypatch.delenv("DICHROMA_BUDGET", raising=False)
     run_command([files.get(a, a) for a in argv])
     assert default is not None and received and set(received) == {default}
 
@@ -519,21 +512,20 @@ def test_wrong_graph_kind_is_usage_error(files, capsys, argv, wrong):
 
 
 @pytest.mark.parametrize(
-    "env, content, argv, error",
+    "content, argv, error",
     [
-        ("abc", None, ["king", "c3"], "UsageError"),
-        (None, b"\xff\xfedigraph 3\n0 1\n", ["king", "raw"], "UsageError"),
-        (None, None, ["gen", "shannon", "--k", "0"], "BadParameters"),
+        (b"\xff\xfedigraph 3\n0 1\n", ["king", "raw"], "UsageError"),
+        (None, ["gen", "shannon", "--k", "0"], "BadParameters"),
+        (None, ["gen", "fk", "--k", "0"], "BadParameters"),
+        (None, ["gen", "c122", "--k", "0"], "BadParameters"),
+        (None, ["gen", "herofree", "--k", "0"], "BadParameters"),
+        (None, ["gen", "ds", "--s", "4"], "BadParameters"),
+        (None, ["free", "--pattern-name", "nope", "c3"], "BadParameters"),
     ],
-    ids=["budget-env-not-integer", "file-not-utf8", "gen-shannon-k0"],
+    ids=["file-not-utf8", "gen-shannon-k0", "gen-fk-k0", "gen-c122-k0", "gen-herofree-k0",
+         "gen-ds-s4", "free-unknown-pattern"],
 )
-def test_bad_environment_file_or_parameter_is_json_error(
-    files, tmp_path, capsys, monkeypatch, env, content, argv, error
-):
-    if env is None:
-        monkeypatch.delenv("DICHROMA_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("DICHROMA_BUDGET", env)
+def test_bad_environment_file_or_parameter_is_json_error(files, tmp_path, capsys, content, argv, error):
     if content is not None:
         files["raw"] = str(tmp_path / "raw.dg")
         (tmp_path / "raw.dg").write_bytes(content)

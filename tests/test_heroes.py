@@ -6,7 +6,7 @@ import pytest
 
 from dichroma.colouring import exact_dichromatic
 from dichroma.core import Digraph, build_digraph
-from dichroma.errors import BadVertex, SizeCapExceeded, TooFewParts
+from dichroma.errors import BadParameters, SizeCapExceeded, TooFewParts
 from dichroma.families import dicycle, transitive_tournament
 from dichroma.heroes import (
     PATTERNS,
@@ -61,7 +61,7 @@ def test_substitute_examples():
     host = build_digraph(2, [])  # isolated pair: substitution stays disjoint
     out = substitute(host, 0, dicycle(3))
     assert out.n == 4 and out.arcs == dicycle(3).arcs
-    with pytest.raises(BadVertex):
+    with pytest.raises(BadParameters):
         substitute(dicycle(3), 7, transitive_tournament(1))
 
 

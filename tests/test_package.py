@@ -1,4 +1,4 @@
-"""The package init: command modules bound lazily, re-exports by name."""
+"""The package init: command modules bound lazily, nothing run at import."""
 
 import json
 import os
@@ -6,13 +6,39 @@ import runpy
 import subprocess
 import sys
 
-import pytest
-
 import dichroma
-from dichroma.errors import DichromaError, UnknownName
 
 SRC = os.path.dirname(os.path.dirname(dichroma.__file__))
 COLD_START = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "cold_start.py")
+
+# a fresh interpreter: which dichroma modules have run after a bare import of
+# the package, which command modules it binds, and which modules have run
+# after one attribute read from colouring
+BARE = """
+import json, sys, types
+import dichroma
+
+def ran():
+    return sorted(name.split(".", 1)[1] for name, mod in sys.modules.items()
+                  if name.startswith("dichroma.") and type(mod) is types.ModuleType)
+
+before = ran()
+bound = [name for name in ("brooks", "colouring", "defective", "extremal", "heroes", "localstruct")
+         if sys.modules["dichroma." + name] is getattr(dichroma, name)]
+dichroma.colouring.exact_dichromatic
+print(json.dumps([before, bound, ran()]))
+"""
+
+
+def test_bare_import_runs_no_submodule():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", BARE], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    before, bound, after = json.loads(out)
+    assert before == []
+    assert bound == ["brooks", "colouring", "defective", "extremal", "heroes", "localstruct"]
+    assert "colouring" in after and "extremal" not in after
+
 
 # a fresh interpreter: which dichroma modules have run after importing the
 # CLI, and after one chi call
@@ -35,7 +61,6 @@ def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
     c3 = tmp_path / "c3.dg"
     c3.write_text("digraph 3\n0 1\n1 2\n2 0\n")
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("DICHROMA_BUDGET", None)
     out = subprocess.run([sys.executable, "-c", PROBE, str(c3)], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     before, code, after = json.loads(out)
@@ -62,28 +87,8 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     files["m"].write_text(cold["MULTIGRAPH"])
     argvs = [[arg.format(**files) for arg in template] for template in cold["COMMANDS"].values()]
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("DICHROMA_BUDGET", None)
     out = subprocess.run([sys.executable, "-c", COLD, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, check=True, timeout=120).stdout
     codes, imported = json.loads(out)
     assert len(codes) == 14 and 2 not in codes
     assert imported == []
-
-
-def test_every_export_is_its_modules_object():
-    homes = dichroma._HOMES
-    assert sum(len(names) for names in homes.values()) == len(dichroma.__all__) == 57
-    for module, names in homes.items():
-        for name in names:
-            obj = getattr(dichroma, name)
-            assert obj is getattr(module, name) and obj.__module__ == module.__name__
-    from dichroma import exact_dichromatic, gen_fk  # noqa: F401  the import form too
-
-
-def test_unknown_name_is_a_toolkit_attribute_error():
-    assert not hasattr(dichroma, "nope")
-    with pytest.raises(UnknownName) as exc:
-        dichroma.nope  # noqa: B018
-    assert isinstance(exc.value, DichromaError) and isinstance(exc.value, AttributeError)
-    with pytest.raises(ImportError):
-        from dichroma import nope  # noqa: F401

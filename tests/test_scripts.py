@@ -29,7 +29,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 )
 def test_script_runs_and_prints_its_headline(argv, lines):
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("DICHROMA_BUDGET", None)
     done = subprocess.run([sys.executable, os.path.join(SCRIPTS, argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -40,7 +39,6 @@ def test_script_runs_and_prints_its_headline(argv, lines):
 def test_call_census_gate_passes_at_seed_1():
     # every function the corpora leave unreached is on the census's allow-list
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("DICHROMA_BUDGET", None)
     done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "call_census.py"), "--seed", "1",
                            "--corpora-only"], env=env, capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stdout) == (0, ""), done.stdout
